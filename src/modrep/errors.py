@@ -40,6 +40,10 @@ class UnknownGroup(ModrepError):
     pass
 
 
+class InvalidGroupSpec(ModrepError):
+    pass
+
+
 class NotSubgroup(ModrepError):
     pass
 

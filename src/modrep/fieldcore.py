@@ -323,7 +323,7 @@ class FieldElem:
         return isinstance(other, FieldElem) and self.ctx == other.ctx and self.val == other.val
 
     def __hash__(self) -> int:
-        return hash((id(self.ctx), self.val))
+        return hash((self.ctx, self.val))
 
     def __bool__(self) -> bool:
         return self.val != 0
@@ -481,7 +481,7 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.ctx), self.coeffs))
+        return hash((self.ctx, self.coeffs))
 
     def __repr__(self) -> str:
         if self.ctx.degree == 1:

@@ -191,7 +191,7 @@ class Mat:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.ctx), self.a.shape, self.a.tobytes()))
+        return hash((self.ctx, self.a.shape, self.a.tobytes()))
 
     def tolist(self) -> list[list[int]]:
         return self.a.astype(int).tolist()
@@ -319,7 +319,7 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.ctx), self.ambient, self.basis))
+        return hash((self.ctx, self.ambient, self.basis))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"

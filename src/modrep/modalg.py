@@ -4,7 +4,7 @@ A Module carries one invertible matrix per group generator; matrices for all
 other elements are products along the group's BFS words and are cached.  The
 constructor certifies that the generator matrices actually extend to an
 action of the whole multiplication table (full check at desk scale, sampled
-beyond it).
+beyond it), except where the caller has already proved it (sub_quotient).
 
 Everything here is pure: modules are immutable once built, and every
 randomized step (Norton tests, isomorphism tests, chopping) takes an
@@ -14,6 +14,7 @@ explicit seed or Generator so parallel runs stay reproducible.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -57,6 +58,7 @@ class GroupAlgebra:
         self.group = group
         self.field = field
         self.dim = group.order
+        self._regular: Optional[weakref.ref] = None  # see regular_module
 
     def zero(self) -> "AlgebraElem":
         return AlgebraElem(self, np.zeros(self.dim, dtype=self.field.dtype))
@@ -160,7 +162,7 @@ class AlgebraElem:
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.coeffs.tobytes()))
+        return hash((self.algebra, self.coeffs.tobytes()))
 
     def __repr__(self) -> str:
         k = self.algebra.field
@@ -174,7 +176,14 @@ class AlgebraElem:
 
 
 class Module:
-    """A kG-module: dimension plus one invertible matrix per group generator."""
+    """A kG-module: dimension plus one invertible matrix per group generator.
+
+    Invariance (the generator matrices extend to an action of the whole
+    group) is checked where matrices enter from outside: a user-built
+    Module(...) and module_from_json.  sub_quotient results skip the check,
+    because its exact residual test already proves them; the regular module
+    is checked once and memoized on its algebra while a caller holds it.
+    """
 
     def __init__(
         self,
@@ -273,7 +282,17 @@ class Module:
 
 
 def regular_module(a: GroupAlgebra) -> Module:
-    """kG acting on itself by left multiplication (permutation matrices)."""
+    """kG acting on itself by left multiplication (permutation matrices).
+
+    Built and checked once, then shared by every caller for as long as one
+    of them holds it.  The algebra keeps only a weak reference: a strong one
+    would close an algebra <-> module cycle, and the module's cache of up to
+    |G| element matrices of size |G| x |G| would then wait for the cycle
+    collector instead of being freed with its last user.
+    """
+    reg = a._regular() if a._regular is not None else None
+    if reg is not None:
+        return reg
     g = a.group
     mats = []
     for gi in g.generators:
@@ -281,7 +300,9 @@ def regular_module(a: GroupAlgebra) -> Module:
         for h in range(g.order):
             m[int(g.mult[gi, h]), h] = 1
         mats.append(Mat(a.field, m))
-    return Module(a, mats, dim=g.order, label="regular", check="sample")
+    reg = Module(a, mats, dim=g.order, label="regular", check="sample")
+    a._regular = weakref.ref(reg)
+    return reg
 
 
 def permutation_module(a: GroupAlgebra) -> Module:
@@ -375,7 +396,12 @@ def spin(m: Module, seeds: Iterable) -> Subspace:
 
 
 def sub_quotient(m: Module, s: Subspace) -> tuple[Module, Module]:
-    """Submodule on s and quotient on the non-pivot coordinate complement."""
+    """Submodule on s and quotient on the non-pivot coordinate complement.
+
+    The exact residual check proves s invariant, and the restriction and
+    quotient of a valid action are valid actions, so neither result is
+    re-verified.
+    """
     k = m.algebra.field
     if s.ambient != m.dim:
         raise DimensionMismatch(f"subspace of k^{s.ambient} in a dim-{m.dim} module")
@@ -393,8 +419,8 @@ def sub_quotient(m: Module, s: Subspace) -> tuple[Module, Module]:
         cols = g.a[:, nonpiv].T.copy()  # rows: rho(g) e_j for complement coords j
         red = s.reduce_rows(cols)
         quot_gens.append(Mat(k, red[:, nonpiv].T.copy()))
-    sub = Module(m.algebra, sub_gens, dim=s.dim, check="sample")
-    quot = Module(m.algebra, quot_gens, dim=m.dim - s.dim, check="sample")
+    sub = Module(m.algebra, sub_gens, dim=s.dim, check="off")
+    quot = Module(m.algebra, quot_gens, dim=m.dim - s.dim, check="off")
     return sub, quot
 
 

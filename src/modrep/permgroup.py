@@ -15,7 +15,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegreeMismatch, GroupTooLarge, NotSubgroup, UnknownGroup
+from .errors import (
+    DegreeMismatch,
+    GroupTooLarge,
+    InvalidGroupSpec,
+    NotSubgroup,
+    UnknownGroup,
+)
 
 GROUP_ORDER_GUARD = 10000
 
@@ -452,8 +458,15 @@ def builtin(name: str) -> GroupTable:
 def group_from_json(text_or_obj) -> GroupTable:
     """Group spec JSON: {"degree": 5, "generators": ["(1,2,3,4,5)", "(1,2,3)"]}."""
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
-    degree = int(obj["degree"])
-    gens = [parse_cycles(s, degree) for s in obj.get("generators", [])]
+    if not isinstance(obj, dict):
+        raise InvalidGroupSpec(f"group spec must be a JSON object, got {type(obj).__name__}")
+    degree = obj.get("degree")
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
+        raise InvalidGroupSpec(f'"degree" must be a positive integer, got {degree!r}')
+    texts = obj.get("generators", [])
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise InvalidGroupSpec(f'"generators" must be a list of cycle strings, got {texts!r}')
+    gens = [parse_cycles(t, degree) for t in texts]
     return group_generate(gens, degree)
 
 

@@ -23,6 +23,7 @@ from .structure import (
     CartanMatrix,
     PimSet,
     SimpleSet,
+    _p_part,
     cartan_both,
     find_simples,
     jacobson_radical,
@@ -172,14 +173,6 @@ class Analysis:
     report: StructureReport
 
 
-def _p_part(n: int, p: int) -> int:
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
 def analyze_algebra(
     group: GroupTable,
     fieldctx: FieldCtx,
@@ -198,6 +191,8 @@ def analyze_algebra(
         return out
 
     a = GroupAlgebra(group, fieldctx)
+    # held for the whole pipeline, so that every stage shares one regular module
+    reg = regular_module(a)
     gspec = dict(group_spec or {})
     gspec.update(group_to_json(group))
     gspec["order"] = group.order
@@ -330,7 +325,6 @@ def analyze_algebra(
     )
 
     bp = clock("blocks", block_partition, cart, pims, s.trivial_index())
-    reg = regular_module(a)
     assignment = module_block_assignment(reg, bp)
     block_dims = [0] * bp.count
     for b, piece in assignment.pieces:

@@ -94,6 +94,8 @@ def find_simples(a: GroupAlgebra, seed: SeedLike = 0) -> SimpleSet:
                 reps.append(f)
         reps.sort(key=lambda m: m.dim)
         for i, r in enumerate(reps):
+            if r is reg:  # |G| = 1: keep the shared regular module's label
+                r = reps[i] = Module(a, r.gen_action, dim=r.dim, check="off")
             r.label = f"S{i + 1}"
         endo = [hom_dim(r, r) for r in reps]
         splits = all(e == 1 for e in endo)
@@ -145,19 +147,35 @@ def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> Subspace:
 
 
 def _ideal_nilpotency_index(a: GroupAlgebra, rad: Subspace) -> int:
-    """Least m with rad^m = 0, by powering the ideal's basis."""
+    """Least m with rad^m = 0 for a two-sided ideal rad.
+
+    Picks right-ideal generators y_i (rad = sum y_i A), walking rad's RREF
+    rows in order and keeping each row not yet in the span of the y_j g.
+    Since A rad^(m-1) = rad^(m-1), rad^m = sum_i y_i rad^(m-1), so each
+    power costs one convolution per generator.  A power that fails to
+    shrink while nonzero proves rad is not nilpotent.
+    """
     k = a.field
     if rad.dim == 0:
         return 1
+    eye = np.eye(a.dim, dtype=k.dtype)
+    gens: list[np.ndarray] = []
+    span = Subspace.zero(k, a.dim)
+    for y in rad.basis.a:
+        if span.dim == rad.dim:
+            break
+        if span.contains(y):
+            continue
+        gens.append(y)
+        span = Subspace(k, a.dim, Mat(k, np.vstack([span.basis.a, _conv_rows(a, y, eye)])))
     current = rad
     m = 1
     while current.dim > 0:
-        if m > a.dim:
-            raise NoConvergence("ideal power chain failed to reach zero")
-        products = np.vstack(
-            [_conv_rows(a, r, rad.basis.a) for r in current.basis.a]
-        )
-        current = Subspace(k, a.dim, Mat(k, products))
+        products = np.vstack([_conv_rows(a, y, current.basis.a) for y in gens])
+        nxt = Subspace(k, a.dim, Mat(k, products))
+        if nxt.dim >= current.dim:
+            raise NoConvergence("ideal power chain stopped short of zero")
+        current = nxt
         m += 1
     return m
 
@@ -165,15 +183,14 @@ def _ideal_nilpotency_index(a: GroupAlgebra, rad: Subspace) -> int:
 def lift_idempotent(a: GroupAlgebra, e_bar: AlgebraElem, rad: Subspace) -> AlgebraElem:
     """Exact idempotent congruent to e_bar mod rad, by f <- 3f^2 - 2f^3.
 
-    Each step squares the defect f^2 - f inside the nilpotent ideal, so
-    ceil(log2(nilpotency index)) + 1 iterations suffice; over GF(2) the
-    update degenerates to f <- f^2.
+    Each step squares the defect f^2 - f inside the nilpotent ideal, and
+    rad^(dim rad + 1) = 0, so ceil(log2(dim rad + 1)) + 1 iterations suffice;
+    over GF(2) the update degenerates to f <- f^2.
     """
     defect = e_bar * e_bar - e_bar
     if not rad.contains(defect.coeffs):
         raise NotIdempotentModRad("e^2 - e does not lie in the given radical")
-    nil = _ideal_nilpotency_index(a, rad)
-    iters = max(1, int(np.ceil(np.log2(nil))) + 1)
+    iters = max(1, int(np.ceil(np.log2(rad.dim + 1))) + 1)
     three = a.field.scalar_from_int(3)
     two = a.field.scalar_from_int(2)
     f = e_bar

@@ -1,11 +1,16 @@
 """Shared immutable contexts are safe to use from several threads."""
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from modrep.fieldcore import field_make
+from modrep.modalg import GroupAlgebra, Module, regular_module
 from modrep.permgroup import builtin
 from modrep.report import analyze_algebra
+from modrep.structure import find_simples
 
 
 def test_parallel_analyses_match_serial():
@@ -22,3 +27,27 @@ def test_parallel_analyses_match_serial():
     # still a valid report
     obj = json.loads(serial)
     assert obj["cartan"] == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+
+
+def test_shared_regular_module_across_threads():
+    # every thread chops the one regular module and fills its lazy matrix cache
+    a = GroupAlgebra(builtin("A4"), field_make(2, 2))
+    reg = regular_module(a)
+
+    def run(seed):
+        assert regular_module(a) is reg
+        return [m.dim for m in find_simples(a, seed).simples]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(run, seed) for seed in range(12)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert results == [[1, 1, 1]] * 12
+    fresh = Module(a, reg.gen_action, dim=reg.dim, check="off")
+    assert reg._mats
+    for i, cached in list(reg._mats.items()):
+        assert np.array_equal(cached, fresh._mat_arr(i))

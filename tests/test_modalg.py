@@ -10,7 +10,7 @@ from modrep.errors import (
     NoQuotientRecorded,
     ZeroModule,
 )
-from modrep.fieldcore import field_make
+from modrep.fieldcore import FieldElem, Poly, field_make
 from modrep.linalg import Mat, Subspace
 from modrep.modalg import (
     GroupAlgebra,
@@ -168,6 +168,12 @@ def test_regular_module_ka5_dim():
         assert g.rank() == 60
 
 
+def test_regular_module_shared_while_held():
+    reg = regular_module(KA4)
+    assert regular_module(KA4) is reg
+    assert regular_module(GroupAlgebra(A4, GF4)) is not reg
+
+
 def test_permutation_module_c2_equals_regular():
     perm = permutation_module(KC2)
     reg = regular_module(KC2)
@@ -181,6 +187,16 @@ def test_module_validation_rejects_bad_action():
     flip = Mat.from_rows(GF4, [[1, 0], [0, 1]])
     with pytest.raises(NotInvariant):
         Module(KA4, [bad, flip], dim=2)
+
+
+def test_module_from_json_verifies_action():
+    bad = {
+        "dim": 2,
+        "field": {"char": 2, "degree": 2, "modulus": [1, 1, 1]},
+        "generators": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]],
+    }
+    with pytest.raises(NotInvariant):
+        module_from_json(KA4, bad)
 
 
 def test_spin_whole_space_and_zero():
@@ -218,6 +234,13 @@ def test_sub_quotient_regular_kc2():
     assert quot.gen_action[0].tolist() == [[1]]  # trivial
     with pytest.raises(NotInvariant):
         sub_quotient(reg, Subspace.from_vectors(GF2, 2, [[1, 0]]))
+
+
+def test_chop_factors_of_regular_ka4_pass_full_check():
+    factors = chop(regular_module(KA4), 0)
+    assert sum(f.dim for f in factors) == 12
+    for f in factors:
+        f._verify("full")
 
 
 def test_hom_schur_between_inflated_lines():
@@ -425,6 +448,23 @@ def test_module_json_roundtrip():
     wrong_field = dict(obj, field={"char": 2, "degree": 1, "modulus": [0, 1]})
     with pytest.raises(AlgebraMismatch):
         module_from_json(KA4, wrong_field)
+
+
+def test_equal_values_over_equal_fields_hash_equal():
+    # two separately built contexts for GF(4) compare equal
+    k1, k2 = field_make(2, 2), field_make(2, 2)
+    assert k1 is not k2 and k1 == k2
+    rows = [[1, k1.omega.val], [0, 1]]
+    pairs = [
+        (FieldElem(k1, 1), FieldElem(k2, 1)),
+        (Poly(k1, [1, 0, 1]), Poly(k2, [1, 0, 1])),
+        (Mat.from_rows(k1, rows), Mat.from_rows(k2, rows)),
+        (Subspace.from_vectors(k1, 2, rows[:1]), Subspace.from_vectors(k2, 2, rows[:1])),
+        (GroupAlgebra(A4, k1).one(), GroupAlgebra(A4, k2).one()),
+    ]
+    for x, y in pairs:
+        assert x == y
+        assert len({x, y}) == 1
 
 
 def test_algebra_elem_repr_and_ops():

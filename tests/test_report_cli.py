@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from modrep import cli
 from modrep.fieldcore import field_make
@@ -97,6 +100,33 @@ def test_input_errors_exit_1(tmp_path, capsys):
                  "--modulus", "1,0,1"])
         == 1
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["{}", "[1,2]", '{"degree": 3, "generators": [5]}', '{"degree": 3, "generators": "(1,2,3)"}'],
+)
+def test_malformed_group_spec_exit_1_one_line(tmp_path, capsys, spec):
+    path = tmp_path / "g.json"
+    path.write_text(spec, encoding="utf-8")
+    assert run_cli(["analyze", "--group-file", str(path), "--char", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("modrep: error: InvalidGroupSpec:")
+    assert len(err.splitlines()) == 1
+
+
+# sha256 of the seed-0 JSON report; any change to the report bytes shows here
+PINNED_REPORTS = [
+    ("A4", 2, 2, "4e427bf00e709656899da8464b9b87f1c6e48c1883eedc25884c0c13299f7d00"),
+    ("A5", 2, 2, "ec5d26f0ce7c2a2762e131c25e5ff7564f695b4c3eb2bb292e8d415b2a544de7"),
+    ("S3", 3, 1, "e0e024a5b4a36d55f1c88224fd6443ed3e350a4c50dbd067408418f4e4a74239"),
+]
+
+
+@pytest.mark.parametrize("name, p, d, digest", PINNED_REPORTS)
+def test_report_bytes_pinned(name, p, d, digest):
+    an = analyze_algebra(builtin(name), field_make(p, d), seed=0, group_spec={"builtin": name})
+    assert hashlib.sha256(an.report.to_json().encode()).hexdigest() == digest
 
 
 def test_nonsplit_field_exit_2_report_written(tmp_path):

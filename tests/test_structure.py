@@ -3,14 +3,16 @@ import pytest
 
 from modrep.errors import (
     IncompleteSimpleSet,
+    NoConvergence,
     NotIdempotentModRad,
     SplittingFieldRequired,
 )
 from modrep.fieldcore import field_make
-from modrep.linalg import Subspace
-from modrep.modalg import GroupAlgebra, modules_isomorphic, trivial_module
-from modrep.permgroup import builtin, parse_cycles
+from modrep.linalg import Mat, Subspace
+from modrep.modalg import GroupAlgebra, modules_isomorphic, regular_module, trivial_module
+from modrep.permgroup import builtin, group_generate, parse_cycles
 from modrep.structure import (
+    _ideal_nilpotency_index,
     cartan_matrix,
     find_simples,
     jacobson_radical,
@@ -20,7 +22,9 @@ from modrep.structure import (
 )
 
 GF2 = field_make(2, 1)
+GF3 = field_make(3, 1)
 GF4 = field_make(2, 2)
+GF5 = field_make(5, 1)
 W = GF4.omega.val
 W2 = GF4.mul(W, W)
 
@@ -75,6 +79,15 @@ def test_simples_nonsplit_sets_flag():
     assert sorted(s.endo_dims) == [1, 2]
 
 
+def test_simples_of_trivial_group_keep_regular_module_label():
+    # kG for |G| = 1 is simple, so chop returns the shared regular module itself
+    a = GroupAlgebra(group_generate([], 1), GF2)
+    reg = regular_module(a)
+    s = find_simples(a, 0)
+    assert [m.label for m in s.simples] == ["S1"]
+    assert reg.label == "regular"
+
+
 # ------------------------------------------------------ jacobson_radical --
 
 
@@ -123,6 +136,42 @@ def test_radical_incomplete_simples_rejected():
     )
     with pytest.raises(IncompleteSimpleSet):
         jacobson_radical(a, crippled)
+
+
+def _brute_nilpotency_index(a, ideal):
+    """Least m with ideal^m = 0, multiplying every basis pair of J^(m-1) x J."""
+    k = a.field
+    current, m = ideal, 1
+    while current.dim > 0:
+        assert m <= a.dim
+        products = [a.conv(x, y) for x in current.basis.a for y in ideal.basis.a]
+        current = Subspace(k, a.dim, Mat(k, np.array(products, dtype=k.dtype)))
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize(
+    "name, field, loewy",
+    [
+        ("V4", GF2, 3),
+        ("A4", GF4, 3),
+        ("S3", GF3, 3),
+        ("C5", GF5, 5),
+        ("S4", GF2, 4),  # rad needs several right-ideal generators here
+        ("C3", GF4, 1),
+    ],
+)
+def test_nilpotency_index_matches_brute_force(name, field, loewy):
+    a = GroupAlgebra(builtin(name), field)
+    rad = jacobson_radical(a, find_simples(a, 0))
+    assert _ideal_nilpotency_index(a, rad) == _brute_nilpotency_index(a, rad) == loewy
+
+
+def test_nilpotency_index_rejects_non_nilpotent_ideal():
+    for name, field in [("A4", GF4), ("C3", GF4)]:
+        a = GroupAlgebra(builtin(name), field)
+        with pytest.raises(NoConvergence):
+            _ideal_nilpotency_index(a, Subspace.full(field, a.dim))
 
 
 # ------------------------------------------------------- lift_idempotent --
