@@ -3,8 +3,11 @@
 Blocks are the connected components of the graph on simples whose edges are
 the nonzero Cartan entries; each block idempotent is the sum of the
 primitive idempotents whose PIMs live in the block.  Centrality is checked
-directly, and primitivity in the center is certified by brute force over
-the (class-sum) center whenever that search is feasible.
+directly.  Primitivity in the center is certified by central characters:
+over a splitting field each class sum K acts on a simple S as a scalar
+omega_S(K), z -> (omega_S(z))_S embeds Z/J(Z) in k^n (J(Z) = Z ∩ J(kG)),
+and idempotents lift uniquely modulo J(Z), so a block idempotent is
+primitive in Z(kG) iff the simples of its part share one omega.
 """
 
 from __future__ import annotations
@@ -12,21 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (
+    IncompleteSimpleSet,
     NonCentralSum,
     NoSuitableRoot,
     NotCyclic,
     OrderDivisibleByP,
+    SplittingFieldRequired,
 )
 from .fieldcore import FieldCtx
 from .linalg import Mat, Subspace
 from .modalg import AlgebraElem, GroupAlgebra, Module, sub_quotient
-from .permgroup import Subgroup, conjugacy_data
+from .permgroup import ConjClass, Subgroup, conjugacy_data
 from .structure import CartanMatrix, PimSet
-
-CENTER_SEARCH_LIMIT = 2**20
 
 
 @dataclass
@@ -34,7 +35,7 @@ class BlockPartition:
     parts: list[list[int]]  # sorted simple-index sets
     block_idempotents: list[AlgebraElem]
     principal_index: int
-    primitivity_verified: list[Optional[bool]]  # None = search skipped
+    primitivity_verified: list[bool]  # part is exactly one central-character class
 
     @property
     def count(self) -> int:
@@ -44,90 +45,49 @@ class BlockPartition:
         return next(b for b, part in enumerate(self.parts) if i in part)
 
 
-class _CenterArithmetic:
-    """The center of kG in the class-sum basis, with structure constants."""
-
-    def __init__(self, a: GroupAlgebra):
-        self.a = a
-        k = a.field
-        classes, _ = conjugacy_data(a.group, k.char)
-        self.classes = classes
-        nc = len(classes)
-        sums = []
-        for c in classes:
-            v = np.zeros(a.dim, dtype=k.dtype)
-            v[list(c.members)] = 1
-            sums.append(v)
-        self.sums = sums
-        # K_i K_j = sum_l c[i][j][l] K_l, read off at class representatives
-        self.tensor = np.zeros((nc, nc, nc), dtype=np.int64)
-        for i in range(nc):
-            for j in range(nc):
-                prod = a.conv(sums[i], sums[j])
-                for l, c in enumerate(classes):
-                    self.tensor[i, j, l] = int(prod[c.rep])
-
-    def mul(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-        k = self.a.field
-        nc = len(self.classes)
-        out = [0] * nc
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cij = k.mul(int(xi), int(yj))
-                for l in range(nc):
-                    t = int(self.tensor[i, j, l])
-                    if t:
-                        out[l] = k.add(out[l], k.mul(cij, t))
-        return tuple(out)
-
-    def coords_of_central(self, elem: AlgebraElem) -> tuple[int, ...]:
-        return tuple(int(elem.coeffs[c.rep]) for c in self.classes)
-
-    def to_elem(self, coords: Sequence[int]) -> AlgebraElem:
-        k = self.a.field
-        v = np.zeros(self.a.dim, dtype=k.dtype)
-        for c, cls in zip(coords, self.classes):
-            if c:
-                v[list(cls.members)] = c
-        return AlgebraElem(self.a, v)
+def _central_character(s: Module, classes: Sequence[ConjClass]) -> tuple[int, ...]:
+    """omega_S(K) for each class sum K, which must act on S as a scalar."""
+    a = s.algebra
+    one = Mat.identity(a.field, s.dim)
+    out = []
+    for c in classes:
+        act = s.action_of(a.from_coeffs((g, 1) for g in c.members))
+        lam = int(act.a[0, 0])
+        if act != one.scale(lam):
+            raise SplittingFieldRequired(
+                f"class sum of {c.rep} is not scalar on {s.label or 'a simple'}; "
+                "central characters need an absolutely simple module"
+            )
+        out.append(lam)
+    return tuple(out)
 
 
 def _central_idempotent_strictly_under(
-    ca: _CenterArithmetic, e_coords: tuple[int, ...]
-) -> Optional[tuple[int, ...]]:
-    """A central idempotent z with z e = z, z != 0, z != e, or None."""
-    k = ca.a.field
-    nc = len(ca.classes)
-    zero = tuple([0] * nc)
-    # plain odometer over all q^nc coordinate vectors
-    total = k.order**nc
-    for code in range(total):
-        coords = []
-        c = code
-        for _ in range(nc):
-            coords.append(c % k.order)
-            c //= k.order
-        z = tuple(coords)
-        if z == zero or z == e_coords:
-            continue
-        if ca.mul(z, z) != z:
-            continue
-        if ca.mul(z, e_coords) == z:
-            return z
-    return None
+    omegas: Sequence[tuple[int, ...]], part: Sequence[int]
+) -> Optional[list[int]]:
+    """Simples of a central idempotent z with z e = z, z != 0, z != e, or None.
+
+    e is the block idempotent acting as 1 exactly on the simples of part;
+    the simples of part sharing the first one's omega carry such a z iff
+    they are not all of part.
+    """
+    under = [i for i in part if omegas[i] == omegas[part[0]]]
+    return under if len(under) < len(part) else None
 
 
 def block_partition(
-    c: CartanMatrix, pims: PimSet, trivial_index: int
+    c: CartanMatrix, pims: PimSet, simples: Sequence[Module], trivial_index: int
 ) -> BlockPartition:
-    """Linkage components, block idempotents, and the principal block."""
+    """Linkage components, block idempotents, and the principal block.
+
+    simples are the simple modules in index order; their central characters
+    certify that each block idempotent is primitive in the center.
+    """
     n = len(c.entries)
     if not c.is_symmetric():
         raise NonCentralSum("Cartan matrix must be verified symmetric first")
+    if len(simples) != n:
+        raise IncompleteSimpleSet(f"{len(simples)} simples for a {n}x{n} Cartan matrix")
     # connected components via union-find
     parent = list(range(n))
 
@@ -172,15 +132,13 @@ def block_partition(
             if i != j and not (idems[i] * idems[j]).is_zero():
                 raise NonCentralSum("block idempotents are not orthogonal")
 
-    ca = _CenterArithmetic(a)
-    verified: list[Optional[bool]] = []
-    feasible = a.field.order ** len(ca.classes) <= CENTER_SEARCH_LIMIT
-    for e in idems:
-        if not feasible:
-            verified.append(None)
-            continue
-        under = _central_idempotent_strictly_under(ca, ca.coords_of_central(e))
-        verified.append(under is None)
+    classes, _ = conjugacy_data(a.group, a.field.char)
+    omegas = [_central_character(m, classes) for m in simples]
+    verified = []
+    for part in parts:
+        own = omegas[part[0]]
+        outside = any(omegas[i] == own for i in range(n) if i not in part)
+        verified.append(_central_idempotent_strictly_under(omegas, part) is None and not outside)
 
     principal = next(b for b, part in enumerate(parts) if trivial_index in part)
     return BlockPartition(parts, idems, principal, verified)

@@ -586,6 +586,33 @@ def _roots(f: Poly) -> list[int]:
     return [a for a in range(f.ctx.order) if f.eval(a) == 0]
 
 
+def _squarefree_parts(g: Poly, power: int, out: list[tuple[Poly, int]]) -> None:
+    """Append (squarefree piece, multiplicity) pairs of g, scaled by power."""
+    if g.degree <= 0:
+        return
+    k = g.ctx
+    d = g.derivative()
+    if d.is_zero():
+        p = k.char
+        hc = [k.pow(g.coeffs[i], k.order // p) for i in range(0, len(g.coeffs), p)]
+        _squarefree_parts(Poly(k, hc), power * p, out)
+        return
+    w = g.gcd(d)
+    s = g.divmod(w)[0]  # squarefree
+    i = power
+    while s.degree > 0:
+        y = w.gcd(s)
+        piece = s.divmod(y)[0]  # factors of exact multiplicity i (times power)
+        if piece.degree > 0:
+            out.append((piece, i))
+        s = y
+        if not w.is_zero():
+            w = w.divmod(y)[0]
+        i += power
+    if w.degree > 0:
+        _squarefree_parts(w, power, out)
+
+
 def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
     """Factor f into monic irreducibles with exponents.
 
@@ -630,32 +657,7 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
 
     # char-p squarefree decomposition; each piece then goes to Berlekamp
     work_sf: list[tuple[Poly, int]] = []
-
-    def squarefree_parts(g: Poly, power: int) -> None:
-        if g.degree <= 0:
-            return
-        d = g.derivative()
-        if d.is_zero():
-            p = k.char
-            hc = [k.pow(g.coeffs[i], k.order // p) for i in range(0, len(g.coeffs), p)]
-            squarefree_parts(Poly(k, hc), power * p)
-            return
-        w = g.gcd(d)
-        s = g.divmod(w)[0]  # squarefree
-        i = power
-        while s.degree > 0:
-            y = w.gcd(s)
-            piece = s.divmod(y)[0]  # factors of exact multiplicity i (times power)
-            if piece.degree > 0:
-                work_sf.append((piece, i))
-            s = y
-            if not w.is_zero():
-                w = w.divmod(y)[0]
-            i += power
-        if w.degree > 0:
-            squarefree_parts(w, power)
-
-    squarefree_parts(work, 1)
+    _squarefree_parts(work, 1, work_sf)
     for piece, mult in work_sf:
         split_squarefree(piece, mult)
 

@@ -611,7 +611,8 @@ def _block_order_invariance(an: Analysis, name: str) -> CheckResult:
         pims=an.pims.pims,
         representative=[an.pims.representative[perm[i]] for i in range(n)],
     )
-    bp2 = block_partition(cart2, pims2, inv[an.simples.trivial_index()])
+    simples2 = [an.simples.simples[perm[i]] for i in range(n)]
+    bp2 = block_partition(cart2, pims2, simples2, inv[an.simples.trivial_index()])
     parts_back = sorted(sorted(perm[i] for i in part) for part in bp2.parts)
     parts_ref = sorted(sorted(part) for part in an.block_partition.parts)
     principal_back = sorted(perm[i] for i in bp2.parts[bp2.principal_index])

@@ -4,7 +4,8 @@ A Module carries one invertible matrix per group generator; matrices for all
 other elements are products along the group's BFS words and are cached.  The
 constructor certifies that the generator matrices actually extend to an
 action of the whole multiplication table (full check at desk scale, sampled
-beyond it), except where the caller has already proved it (sub_quotient).
+beyond it), except where the construction already proves it (sub_quotient,
+duals, direct sums and restrictions).
 
 Everything here is pure: modules are immutable once built, and every
 randomized step (Norton tests, isomorphism tests, chopping) takes an
@@ -82,12 +83,15 @@ class GroupAlgebra:
         return AlgebraElem(self, v)
 
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Coefficient vector of the product: out[gh] += a[g] b[h]."""
+        """Coefficients of the product a b: out[..., gh] += a[g] b[..., h].
+
+        b is one coefficient vector or a stack of them (one product per row).
+        """
         k = self.field
-        out = np.zeros(self.dim, dtype=k.dtype)
+        out = np.zeros(b.shape, dtype=k.dtype)
         for g in np.nonzero(a)[0]:
             row = self.group.mult[int(g)]
-            out[row] = _add_arr(k, out[row], k.MUL[int(a[g])][b])
+            out[..., row] = _add_arr(k, out[..., row], k.MUL[int(a[g])][b])
         return out
 
     def __eq__(self, other) -> bool:
@@ -181,8 +185,10 @@ class Module:
     Invariance (the generator matrices extend to an action of the whole
     group) is checked where matrices enter from outside: a user-built
     Module(...) and module_from_json.  sub_quotient results skip the check,
-    because its exact residual test already proves them; the regular module
-    is checked once and memoized on its algebra while a caller holds it.
+    because its exact residual test already proves them, and so do the dual,
+    direct sum and restriction of a module, whose actions are homomorphic
+    images of valid ones; the regular module is checked once and memoized on
+    its algebra while a caller holds it.
     """
 
     def __init__(
@@ -813,7 +819,7 @@ def restrict_module(m: Module, h: GroupTable) -> Module:
     halg = GroupAlgebra(h, m.algebra.field)
     gens = [m.element_mat(g.index_of(p)) for p in h.generator_perms]
     label = f"({m.label})|H" if m.label else None
-    return Module(halg, gens, dim=m.dim, label=label, check="sample")
+    return Module(halg, gens, dim=m.dim, label=label, check="off")
 
 
 def induce_module(m: Module, g_alg: GroupAlgebra) -> Module:
@@ -865,7 +871,7 @@ def dual_module(m: Module) -> Module:
     """Contragredient: g acts by the inverse-transpose."""
     gens = [g.inverse().T for g in m.gen_action]
     label = f"({m.label})*" if m.label else None
-    return Module(m.algebra, gens, dim=m.dim, label=label, check="sample")
+    return Module(m.algebra, gens, dim=m.dim, label=label, check="off")
 
 
 def direct_sum(ms: Sequence[Module]) -> Module:
@@ -885,4 +891,4 @@ def direct_sum(ms: Sequence[Module]) -> Module:
             big[off : off + m.dim, off : off + m.dim] = m.gen_action[gi].a
             off += m.dim
         gens.append(Mat(k, big))
-    return Module(a, gens, dim=total, check="sample")
+    return Module(a, gens, dim=total, check="off")

@@ -46,16 +46,6 @@ from .modalg import (
 from .permgroup import conjugacy_data
 
 
-def _conv_rows(a: GroupAlgebra, vec: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Products vec * r for every row r, as rows of the result."""
-    k = a.field
-    out = np.zeros_like(rows)
-    for g in np.nonzero(vec)[0]:
-        idx = a.group.mult[int(g)]
-        out[:, idx] = _add_arr(k, out[:, idx], k.MUL[int(vec[g])][rows])
-    return out
-
-
 @dataclass
 class SimpleSet:
     """All simple modules up to isomorphism, in (dim, discovery) order."""
@@ -167,11 +157,11 @@ def _ideal_nilpotency_index(a: GroupAlgebra, rad: Subspace) -> int:
         if span.contains(y):
             continue
         gens.append(y)
-        span = Subspace(k, a.dim, Mat(k, np.vstack([span.basis.a, _conv_rows(a, y, eye)])))
+        span = Subspace(k, a.dim, Mat(k, np.vstack([span.basis.a, a.conv(y, eye)])))
     current = rad
     m = 1
     while current.dim > 0:
-        products = np.vstack([_conv_rows(a, y, current.basis.a) for y in gens])
+        products = np.vstack([a.conv(y, current.basis.a) for y in gens])
         nxt = Subspace(k, a.dim, Mat(k, products))
         if nxt.dim >= current.dim:
             raise NoConvergence("ideal power chain stopped short of zero")

@@ -2,12 +2,20 @@ import numpy as np
 import pytest
 
 from modrep.blocks import (
+    _central_character,
+    _central_idempotent_strictly_under,
     block_partition,
     cyclic_char_table,
     cyclic_idempotents,
     module_block_assignment,
 )
-from modrep.errors import NotCyclic, NoSuitableRoot, OrderDivisibleByP
+from modrep.errors import (
+    IncompleteSimpleSet,
+    NotCyclic,
+    NoSuitableRoot,
+    OrderDivisibleByP,
+    SplittingFieldRequired,
+)
 from modrep.fieldcore import field_make
 from modrep.modalg import (
     GroupAlgebra,
@@ -17,7 +25,8 @@ from modrep.modalg import (
     sub_quotient,
     trivial_module,
 )
-from modrep.permgroup import Subgroup, builtin, parse_cycles
+from modrep.permgroup import Subgroup, builtin, conjugacy_data, group_from_json, parse_cycles
+from modrep.report import analyze_algebra
 from modrep.structure import (
     cartan_matrix,
     find_simples,
@@ -42,7 +51,7 @@ def analyzed(name, field, seed=0):
         rad = jacobson_radical(a, s)
         pims = primitive_decomposition(a, s, rad, seed)
         c = cartan_matrix(a, s, pims, seed)
-        bp = block_partition(c, pims, s.trivial_index())
+        bp = block_partition(c, pims, s.simples, s.trivial_index())
         _CACHE[key] = (a, s, rad, pims, c, bp)
     return _CACHE[key]
 
@@ -75,6 +84,46 @@ def test_blocks_semisimple_kc3():
     for e in bp.block_idempotents:
         total = total + e
     assert total == a.one()
+
+
+@pytest.mark.parametrize(
+    "degree, p, d", [(7, 2, 3), (5, 2, 4)], ids=["C7/GF(8)", "C5/GF(16)"]
+)
+def test_primitivity_certified_beyond_brute_force(degree, p, d):
+    # q^#classes = 8^7 and 16^5 center elements: out of reach of a search
+    cycle = "(" + ",".join(str(i) for i in range(1, degree + 1)) + ")"
+    group = group_from_json({"degree": degree, "generators": [cycle]})
+    an = analyze_algebra(group, field_make(p, d), seed=0)
+    assert an.block_partition.count == degree
+    assert an.block_partition.primitivity_verified == [True] * degree
+    status = {c.name: c.passed for c in an.report.certificates}
+    assert status["block_idempotents_primitive"]
+
+
+def test_central_idempotent_strictly_under_witness():
+    a, s, rad, pims, c, bp = analyzed("A5", GF4)
+    classes, _ = conjugacy_data(a.group, 2)
+    omegas = [_central_character(m, classes) for m in s.simples]
+    # the two blocks merged: the principal block's simples lie strictly under
+    assert _central_idempotent_strictly_under(omegas, [0, 1, 2, 3]) == [0, 1, 2]
+    assert _central_idempotent_strictly_under(omegas, [0, 1, 2]) is None
+    assert _central_idempotent_strictly_under(omegas, [3]) is None
+
+
+def test_central_character_needs_absolutely_simple():
+    a = GroupAlgebra(builtin("C3"), GF2)
+    s = find_simples(a, 0)
+    assert [m.dim for m in s.simples] == [1, 2]  # GF(2) lacks cube roots of 1
+    classes, _ = conjugacy_data(a.group, 2)
+    assert _central_character(s.simples[0], classes) == (1, 1, 1)
+    with pytest.raises(SplittingFieldRequired):
+        _central_character(s.simples[1], classes)
+
+
+def test_block_partition_needs_every_simple():
+    a, s, rad, pims, c, bp = analyzed("A5", GF4)
+    with pytest.raises(IncompleteSimpleSet):
+        block_partition(c, pims, s.simples[:-1], s.trivial_index())
 
 
 def test_block_invariants_sum_orthogonal_central():

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,3 +169,13 @@ def test_poly_divmod_and_gcd():
     assert q * g + r == f
     # x^2 + 4 = (x+1)(x+4) over GF(5)
     assert Poly(GF5, [4, 0, 1]).gcd(Poly(GF5, [1, 1])) == Poly(GF5, [1, 1])
+
+
+def test_factor_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        poly_factor(Poly(field_make(2, 2), [1, 1, 0, 1, 2, 1]))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -383,6 +383,24 @@ def test_inflate_t2_from_c3():
         inflate_module(t2_prime, KA4, None)
 
 
+def test_unchecked_derived_modules_pass_the_full_check():
+    # dual, direct sum and restriction skip the constructor's check
+    m = a4_m_module(1)
+    s = a5_s2_module()
+    for derived in [dual_module(m), direct_sum([m, dual_module(m)]), restrict_module(s, A4)]:
+        derived._verify("full")
+
+
+def test_conv_of_a_stack_is_rowwise():
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 4, KA4.dim).astype(GF4.dtype)
+    rows = rng.integers(0, 4, (3, KA4.dim)).astype(GF4.dtype)
+    stacked = KA4.conv(x, rows)
+    assert stacked.shape == rows.shape
+    for r, out in zip(rows, stacked):
+        assert np.array_equal(out, KA4.conv(x, r))
+
+
 def test_dual_of_trivial_and_involution():
     t = trivial_module(KA4)
     assert modules_isomorphic(dual_module(t), t, 0)

@@ -117,9 +117,9 @@ def test_malformed_group_spec_exit_1_one_line(tmp_path, capsys, spec):
 
 # sha256 of the seed-0 JSON report; any change to the report bytes shows here
 PINNED_REPORTS = [
-    ("A4", 2, 2, "4e427bf00e709656899da8464b9b87f1c6e48c1883eedc25884c0c13299f7d00"),
-    ("A5", 2, 2, "ec5d26f0ce7c2a2762e131c25e5ff7564f695b4c3eb2bb292e8d415b2a544de7"),
-    ("S3", 3, 1, "e0e024a5b4a36d55f1c88224fd6443ed3e350a4c50dbd067408418f4e4a74239"),
+    ("A4", 2, 2, "ff535214db34160f208ba8762fdade2b25fc0f555f223622952fa62434fe6a6a"),
+    ("A5", 2, 2, "8358dd0d65f33ec447a097a696631968589faae4f47fddb99d2c953a4dea696a"),
+    ("S3", 3, 1, "4c49dd25a7239d8ce1ee195b523220b150a1103552a564068014a48b714b0e89"),
 ]
 
 
