@@ -90,10 +90,6 @@ class NoConvergence(ModrepError):
     pass
 
 
-class SplitStall(ModrepError):
-    pass
-
-
 class MethodDisagreement(ModrepError):
     pass
 

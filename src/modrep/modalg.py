@@ -1,11 +1,13 @@
 """The group algebra kG and its modules.
 
 A Module carries one invertible matrix per group generator; matrices for all
-other elements are products along the group's BFS words and are cached.  The
+other elements are products along the group's BFS words (the regular
+module reads them off the multiplication table instead) and are cached.  The
 constructor certifies that the generator matrices actually extend to an
 action of the whole multiplication table (full check at desk scale, sampled
-beyond it), except where the construction already proves it (sub_quotient,
-duals, direct sums and restrictions).
+beyond it), except where the construction already proves it (the regular
+module, read off the table, and sub_quotient, duals, direct sums and
+restrictions).
 
 Everything here is pure: modules are immutable once built, and every
 randomized step (Norton tests, isomorphism tests, chopping) takes an
@@ -187,8 +189,8 @@ class Module:
     Module(...) and module_from_json.  sub_quotient results skip the check,
     because its exact residual test already proves them, and so do the dual,
     direct sum and restriction of a module, whose actions are homomorphic
-    images of valid ones; the regular module is checked once and memoized on
-    its algebra while a caller holds it.
+    images of valid ones; the regular module is read off the group's
+    multiplication table, which is not outside input.
     """
 
     def __init__(
@@ -287,26 +289,40 @@ class Module:
 # ------------------------------------------------------------ constructors --
 
 
+def _regular_mat(a: GroupAlgebra, h: int) -> np.ndarray:
+    """rho(h) on kG: column x is the basis vector of h x (eye[:, mult[h]])."""
+    m = np.zeros((a.dim, a.dim), dtype=a.field.dtype)
+    m[a.group.mult[h], np.arange(a.dim)] = 1
+    return m
+
+
+class _RegularModule(Module):
+    """kG on itself; each element matrix is read off the table on first use."""
+
+    def _mat_arr(self, i: int) -> np.ndarray:
+        cached = self._mats.get(i)
+        if cached is None:
+            cached = self._mats[i] = _regular_mat(self.algebra, i)
+        return cached
+
+
 def regular_module(a: GroupAlgebra) -> Module:
     """kG acting on itself by left multiplication (permutation matrices).
 
-    Built and checked once, then shared by every caller for as long as one
-    of them holds it.  The algebra keeps only a weak reference: a strong one
-    would close an algebra <-> module cycle, and the module's cache of up to
-    |G| element matrices of size |G| x |G| would then wait for the cycle
+    Every element matrix comes straight from the multiplication table, so
+    none is multiplied out and none needs checking: the table is computed
+    from the group's permutations, not taken from outside.  The module is
+    built once, then shared by every caller for as long as one of them
+    holds it.  The algebra keeps only a weak reference: a strong one would
+    close an algebra <-> module cycle, and the module's cache of up to |G|
+    element matrices of size |G| x |G| would then wait for the cycle
     collector instead of being freed with its last user.
     """
     reg = a._regular() if a._regular is not None else None
     if reg is not None:
         return reg
-    g = a.group
-    mats = []
-    for gi in g.generators:
-        m = np.zeros((g.order, g.order), dtype=a.field.dtype)
-        for h in range(g.order):
-            m[int(g.mult[gi, h]), h] = 1
-        mats.append(Mat(a.field, m))
-    reg = Module(a, mats, dim=g.order, label="regular", check="sample")
+    gens = [Mat(a.field, _regular_mat(a, gi)) for gi in a.group.generators]
+    reg = _RegularModule(a, gens, dim=a.dim, label="regular", check="off")
     a._regular = weakref.ref(reg)
     return reg
 
@@ -706,18 +722,6 @@ class LoewyData:
         return [layer.module.dim for layer in self.radical_layers]
 
 
-def _algebra_action_mats(m: Module, vectors: np.ndarray) -> list[np.ndarray]:
-    """Action matrices on m of several algebra elements (rows of vectors)."""
-    k = m.algebra.field
-    out = []
-    for row in vectors:
-        acc = np.zeros((m.dim, m.dim), dtype=k.dtype)
-        for i in np.nonzero(row)[0]:
-            acc = _add_arr(k, acc, k.MUL[int(row[i])][m._mat_arr(int(i))])
-        out.append(acc)
-    return out
-
-
 def _sub_coords(outer: Subspace, inner: Subspace) -> Subspace:
     """inner expressed in coordinates of outer's RREF basis (inner <= outer)."""
     k = outer.ctx
@@ -745,7 +749,7 @@ def radical_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
         raise DimensionMismatch(
             f"radical lives in k^{rad_a.ambient}, algebra has dimension {m.algebra.dim}"
         )
-    rho = _algebra_action_mats(m, rad_a.basis.a)
+    rho = [m.action_of(AlgebraElem(m.algebra, row)).a for row in rad_a.basis.a]
     out = [Subspace.full(k, m.dim)]
     while out[-1].dim > 0:
         cur = out[-1]
@@ -767,7 +771,7 @@ def socle_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
         raise DimensionMismatch(
             f"radical lives in k^{rad_a.ambient}, algebra has dimension {m.algebra.dim}"
         )
-    rho = _algebra_action_mats(m, rad_a.basis.a)
+    rho = [m.action_of(AlgebraElem(m.algebra, row)).a for row in rad_a.basis.a]
     out = [Subspace.zero(k, m.dim)]
     while out[-1].dim < m.dim:
         cur = out[-1]

@@ -234,7 +234,7 @@ def analyze_algebra(
         )
         return Analysis(a, s, rad, None, None, None, None, None, None, report)
 
-    pims = clock("primitive_decomposition", primitive_decomposition, a, s, rad, seed)
+    pims = clock("primitive_decomposition", primitive_decomposition, a, s, rad)
     n = len(s.simples)
 
     dim_identity = sum(

@@ -2,10 +2,11 @@
 
 Stages, each consuming the certified output of the one before:
 simples (chop of the regular module, count certified against the p-regular
-class count), Jacobson radical (annihilator of the simples), primitive
-orthogonal idempotents (split the identity in A/rad, lift, re-orthogonalize),
-PIMs (spun left ideals), Cartan matrix (computed twice, by Hom dimensions
-and by chopping each PIM, and compared entrywise).
+class count), Jacobson radical (kernel of the Wedderburn map phi: x ->
+(rho_S(x))_S, i.e. the annihilator of the simples), primitive orthogonal
+idempotents (split the identity in A/rad by one solve of phi(x) = E_jj,
+lift, re-orthogonalize), PIMs (spun left ideals), Cartan matrix (computed
+twice, by Hom dimensions and by chopping each PIM, and compared entrywise).
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ from .errors import (
     MethodDisagreement,
     NoConvergence,
     NotIdempotentModRad,
-    SplitStall,
     SplittingFieldRequired,
 )
-from .fieldcore import Poly, poly_factor
-from .linalg import Mat, Subspace, _add_arr, _nullspace_arr, _rref_arr
+from .linalg import Mat, Subspace, _matmul_arr, _nullspace_arr, solve
 from .modalg import (
     AlgebraElem,
     GroupAlgebra,
@@ -102,6 +101,19 @@ def find_simples(a: GroupAlgebra, seed: SeedLike = 0) -> SimpleSet:
     )
 
 
+def _wedderburn_map(a: GroupAlgebra, s: SimpleSet) -> np.ndarray:
+    """phi: x -> (rho_S(x))_S as a (sum (dim S)^2) x |G| matrix.
+
+    Column g stacks the row-major flattened action matrices of g on each
+    simple, in the order of s.simples.  Its kernel is rad A, and over a
+    splitting field it maps A onto the product of the M_{dim S}(k).
+    """
+    return np.vstack([
+        np.stack([m.element_mat(g).a.reshape(-1) for g in range(a.dim)], axis=1)
+        for m in s.simples
+    ])
+
+
 def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> Subspace:
     """rad A as the joint annihilator {x : x.S = 0 for every simple S}.
 
@@ -112,12 +124,7 @@ def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> Subspace:
     """
     k = a.field
     n = a.dim
-    cols = []
-    for g in range(n):
-        col = np.concatenate([m.element_mat(g).a.reshape(-1) for m in s.simples])
-        cols.append(col)
-    mat = np.stack(cols, axis=1)  # (sum d_i^2) x |G|
-    rad = Subspace(k, n, Mat(k, _nullspace_arr(k, mat)))
+    rad = Subspace(k, n, Mat(k, _nullspace_arr(k, _wedderburn_map(a, s))))
     expected = n - sum(
         (m.dim * m.dim) // e for m, e in zip(s.simples, s.endo_dims)
     )
@@ -196,173 +203,6 @@ def lift_idempotent(a: GroupAlgebra, e_bar: AlgebraElem, rad: Subspace) -> Algeb
     return f
 
 
-class _QuotientAlgebra:
-    """A/rad with multiplication through canonical complement coordinates."""
-
-    def __init__(self, a: GroupAlgebra, rad: Subspace):
-        self.a = a
-        self.k = a.field
-        self.rad = rad
-        piv = rad.pivots()
-        self.nonpiv = [c for c in range(a.dim) if c not in piv]
-        self.dim = len(self.nonpiv)
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        return self.rad.reduce(vec)[self.nonpiv]
-
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.a.dim, dtype=self.k.dtype)
-        out[self.nonpiv] = coords
-        return out
-
-    def one(self) -> np.ndarray:
-        return self.project(self.a.one().coeffs)
-
-    def mul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.project(self.a.conv(self.lift(x), self.lift(y)))
-
-
-def _min_poly(qa: _QuotientAlgebra, x: np.ndarray, unit: np.ndarray) -> Poly:
-    """Minimal polynomial of x in the corner algebra with identity `unit`."""
-    k = qa.k
-    powers = [unit.copy()]
-    while True:
-        nxt = qa.mul(powers[-1], x)
-        mat = np.array(powers, dtype=k.dtype)
-        aug = np.vstack([mat, nxt[None, :]])
-        _, rank, _ = _rref_arr(k, aug)
-        if rank < len(powers) + 1:
-            # nxt is a combination of earlier powers: solve for coefficients
-            sol = _solve_combo(k, mat, nxt)
-            coeffs = [k.neg(int(c)) for c in sol] + [1]
-            return Poly(k, coeffs)
-        powers.append(nxt)
-        if len(powers) > qa.dim + 1:
-            raise SplitStall("minimal polynomial search exceeded the algebra dimension")
-
-
-def _solve_combo(k, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Coefficients expressing target as a combination of the given rows."""
-    aug = np.hstack([rows.T.copy(), target[:, None]])
-    r, rank, pivots = _rref_arr(k, aug)
-    n = rows.shape[0]
-    sol = np.zeros(n, dtype=k.dtype)
-    for row_idx, pc in enumerate(pivots):
-        if pc == n:
-            raise SplitStall("inconsistent combination while splitting")
-        sol[pc] = r[row_idx, n]
-    return sol
-
-
-def _poly_of(qa: _QuotientAlgebra, f: Poly, x: np.ndarray, unit: np.ndarray) -> np.ndarray:
-    """Evaluate f at x inside the corner algebra (constant term times unit)."""
-    acc = np.zeros(qa.dim, dtype=qa.k.dtype)
-    for c in reversed(f.coeffs):
-        acc = qa.mul(acc, x)
-        if c:
-            acc = _add_arr(qa.k, acc, qa.k.MUL[c][unit])
-    return acc
-
-
-def _corner_basis(qa: _QuotientAlgebra, e: np.ndarray) -> np.ndarray:
-    """Basis of e (A/rad) e."""
-    k = qa.k
-    rows = []
-    for i in range(qa.dim):
-        unit_vec = np.zeros(qa.dim, dtype=k.dtype)
-        unit_vec[i] = 1
-        rows.append(qa.mul(qa.mul(e, unit_vec), e))
-    r, rank, _ = _rref_arr(k, np.array(rows, dtype=k.dtype))
-    return r[:rank]
-
-
-def _split_identity(
-    qa: _QuotientAlgebra, seed: SeedLike
-) -> list[np.ndarray]:
-    """Primitive orthogonal idempotents of A/rad summing to 1.
-
-    Repeatedly splits a non-primitive piece e via the minimal polynomial of a
-    random element of the corner algebra e(A/rad)e; dim e(A/rad)e = 1 is the
-    primitivity certificate.
-    """
-    rng = _rng(seed)
-    k = qa.k
-    done: list[np.ndarray] = []
-    queue = [qa.one()]
-    stall = 0
-    while queue:
-        e = queue.pop()
-        corner = _corner_basis(qa, e)
-        if corner.shape[0] <= 1:
-            done.append(e)
-            continue
-        split = None
-        for _ in range(200):
-            coeffs = rng.integers(0, k.order, size=corner.shape[0])
-            x = np.zeros(qa.dim, dtype=k.dtype)
-            for i, c in enumerate(coeffs):
-                if c:
-                    x = _add_arr(k, x, k.MUL[int(c)][corner[i]])
-            m = _min_poly(qa, x, e)
-            factors = poly_factor(m)
-            if len(factors) < 2:
-                continue
-            if any(mult > 1 for _, mult in factors):
-                continue  # semisimple corner: squarefree expected; retry
-            pieces = []
-            ok = True
-            for fpoly, _ in factors:
-                cof = m.divmod(fpoly)[0]
-                # invert cof modulo fpoly: extended euclid
-                inv = _poly_inverse_mod(cof, fpoly)
-                if inv is None:
-                    ok = False
-                    break
-                h = (inv * cof) % m
-                piece = _poly_of(qa, h, x, e)
-                pieces.append(piece)
-            if not ok:
-                continue
-            total = np.zeros(qa.dim, dtype=k.dtype)
-            for p in pieces:
-                total = _add_arr(k, total, p)
-            if not np.array_equal(total, e):
-                continue
-            good = all(np.array_equal(qa.mul(p, p), p) for p in pieces)
-            ortho = all(
-                not qa.mul(pieces[i], pieces[j]).any()
-                for i in range(len(pieces))
-                for j in range(len(pieces))
-                if i != j
-            )
-            if good and ortho:
-                split = pieces
-                break
-        if split is None:
-            stall += 1
-            if stall > 8:
-                raise SplitStall("idempotent splitting stalled; reseed exhausted")
-            queue.append(e)
-            continue
-        queue.extend(split)
-    return done
-
-
-def _poly_inverse_mod(a: Poly, mod: Poly) -> Optional[Poly]:
-    """Inverse of a modulo mod, or None when gcd != 1."""
-    k = a.ctx
-    r0, r1 = mod, a % mod
-    s0, s1 = Poly(k, []), Poly(k, [1])
-    while not r1.is_zero():
-        q, r2 = r0.divmod(r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        return None
-    inv_lead = k.inv(r0.coeffs[0])
-    return s0.scale(inv_lead) % mod
-
-
 @dataclass
 class PimSet:
     """Primitive orthogonal idempotents with their spun projective covers."""
@@ -382,60 +222,53 @@ class PimSet:
         return out
 
 
-def primitive_decomposition(
-    a: GroupAlgebra, s: SimpleSet, rad: Subspace, seed: SeedLike = 0
-) -> PimSet:
+def primitive_decomposition(a: GroupAlgebra, s: SimpleSet, rad: Subspace) -> PimSet:
     """Orthogonal primitive idempotents f_1..f_N with Sum f_i = 1 and PIMs.
 
-    Splits 1 in A/rad, lifts each piece, then re-orthogonalizes sequentially
-    inside the corner (1 - sum f_j) A (1 - sum f_j); the last idempotent is
-    the exact complement, so the sum is exactly 1.
+    Splits 1 in A/rad by one solve of phi(x_i) = E_jj, one target per simple
+    S and j < dim S (see _wedderburn_map): since phi maps A/rad isomorphically
+    onto the product of the M_{dim S}(k), the x_i are primitive orthogonal
+    idempotents mod rad summing to 1, and x_i belongs to the simple whose
+    block holds its target.  Each x_i is lifted inside the corner
+    (1 - sum f_j) A (1 - sum f_j) of the idempotents lifted before it; the
+    last idempotent is the exact complement, so the sum is exactly 1.
     """
     if not s.splits:
         raise SplittingFieldRequired(
             "primitive decomposition needs all End(S) = k; extend the field"
         )
-    rng = _rng(seed)
     k = a.field
-    qa = _QuotientAlgebra(a, rad)
-    bars = _split_identity(qa, rng)
-    expected = sum(m.dim for m in s.simples)
-    if len(bars) != expected:
-        raise SplitStall(f"split produced {len(bars)} pieces, expected {expected}")
-
-    # deterministic order: assign each bar to its simple, then sort stably
-    def bar_assignment(bar: np.ndarray) -> int:
-        elem = AlgebraElem(a, qa.lift(bar))
-        hits = [
-            i
-            for i, m in enumerate(s.simples)
-            if not m.action_of(elem).is_zero()
-        ]
-        if len(hits) != 1:
-            raise SplitStall(f"lifted piece acts nonzero on {len(hits)} simples")
-        return hits[0]
-
-    order = sorted(range(len(bars)), key=lambda i: (bar_assignment(bars[i]), i))
-    bars = [bars[i] for i in order]
+    phi = _wedderburn_map(a, s)
+    assignment = [i for i, m in enumerate(s.simples) for _ in range(m.dim)]
+    targets = np.zeros((phi.shape[0], len(assignment)), dtype=k.dtype)
+    row = col = 0
+    for m in s.simples:
+        for j in range(m.dim):
+            targets[row + j * m.dim + j, col + j] = 1
+        row += m.dim * m.dim
+        col += m.dim
+    sol = solve(Mat(k, phi), Mat(k, targets))
+    if sol is None:
+        raise IncompleteSimpleSet(
+            "phi(x) = E_jj has no solution; the simples are not pairwise non-isomorphic"
+        )
+    if not np.array_equal(_matmul_arr(k, phi, sol.a), targets):
+        raise NoConvergence("split solution does not satisfy phi(x) = E_jj")
+    bars = [AlgebraElem(a, x) for x in sol.a.T]
 
     lifted: list[AlgebraElem] = []
+    u = a.one()  # 1 - sum of the idempotents lifted so far
     for i, bar in enumerate(bars):
         if i == len(bars) - 1:
-            f = a.one()
-            for g in lifted:
-                f = f - g
+            f = u
             if not f.is_idempotent():
                 raise NoConvergence("complement idempotent failed f^2 = f")
         else:
-            u = a.one()
-            for g in lifted:
-                u = u - g
-            cand = AlgebraElem(a, qa.lift(bar))
-            g0 = u * cand * u
-            f = lift_idempotent(a, g0, rad)
-        if not np.array_equal(qa.project(f.coeffs), bar):
+            f = lift_idempotent(a, u * bar * u, rad)
+        if not rad.contains((f - bar).coeffs):
             raise NoConvergence("lift does not reduce to its piece modulo rad")
         lifted.append(f)
+        u = u - f
 
     # verify pairwise orthogonality and the unit sum
     total = a.zero()
@@ -449,24 +282,13 @@ def primitive_decomposition(
                 raise NoConvergence("lifted idempotents are not orthogonal")
 
     reg = regular_module(a)
-    assignment = []
     pims = []
-    for f in lifted:
-        hits = [i for i, m in enumerate(s.simples) if not m.action_of(f).is_zero()]
-        if len(hits) != 1:
-            raise SplitStall(f"idempotent acts nonzero on {len(hits)} simples")
-        si = hits[0]
-        assignment.append(si)
+    for f, si in zip(lifted, assignment):
         space = spin(reg, [f.coeffs])
         pim, _ = sub_quotient(reg, space)
         pim.label = f"P{si + 1}"
         pims.append(pim)
-    representative = []
-    for i in range(len(s.simples)):
-        rep = next((j for j, si in enumerate(assignment) if si == i), None)
-        if rep is None:
-            raise SplitStall(f"no idempotent assigned to simple {i}")
-        representative.append(rep)
+    representative = [assignment.index(i) for i in range(len(s.simples))]
     return PimSet(lifted, assignment, pims, representative)
 
 

@@ -174,6 +174,17 @@ def test_regular_module_shared_while_held():
     assert regular_module(GroupAlgebra(A4, GF4)) is not reg
 
 
+@pytest.mark.parametrize("name", ["A4", "S4"])
+def test_regular_module_table_matches_bfs(name):
+    # the table-built element matrices agree with the BFS products of the
+    # generator matrices, and those pass the full action check
+    a = GroupAlgebra(builtin(name), GF2)
+    reg = regular_module(a)
+    bfs = Module(a, reg.gen_action, dim=reg.dim, check="full")
+    for h in range(a.dim):
+        assert np.array_equal(reg.element_mat(h).a, bfs.element_mat(h).a)
+
+
 def test_permutation_module_c2_equals_regular():
     perm = permutation_module(KC2)
     reg = regular_module(KC2)

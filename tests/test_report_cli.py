@@ -120,6 +120,9 @@ PINNED_REPORTS = [
     ("A4", 2, 2, "ff535214db34160f208ba8762fdade2b25fc0f555f223622952fa62434fe6a6a"),
     ("A5", 2, 2, "8358dd0d65f33ec447a097a696631968589faae4f47fddb99d2c953a4dea696a"),
     ("S3", 3, 1, "4c49dd25a7239d8ce1ee195b523220b150a1103552a564068014a48b714b0e89"),
+    ("A5", 5, 1, "c5001424ab6bcbd0dd60686ca5ab341cea7ff767d13e6e3223f78ab13f4ae53d"),
+    ("A5", 3, 2, "b7ebc8abce60a3cac064e8c249c45be94f34b74ad3abfa132dad397ee56b0f9b"),
+    ("S4", 3, 1, "08038cb5ac264b5ff861fe6b9a352b131a2bf74dffbd25f8606a39672d917c88"),
 ]
 
 

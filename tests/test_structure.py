@@ -12,6 +12,7 @@ from modrep.linalg import Mat, Subspace
 from modrep.modalg import GroupAlgebra, modules_isomorphic, regular_module, trivial_module
 from modrep.permgroup import builtin, group_generate, parse_cycles
 from modrep.structure import (
+    SimpleSet,
     _ideal_nilpotency_index,
     cartan_matrix,
     find_simples,
@@ -38,7 +39,7 @@ def analyze(group_name, field, seed=0):
         a = GroupAlgebra(builtin(group_name), field)
         s = find_simples(a, seed)
         rad = jacobson_radical(a, s)
-        pims = primitive_decomposition(a, s, rad, seed)
+        pims = primitive_decomposition(a, s, rad)
         _CACHE[key] = (a, s, rad, pims)
     return _CACHE[key]
 
@@ -126,8 +127,6 @@ def test_radical_ka5_dim_35():
 def test_radical_incomplete_simples_rejected():
     a = GroupAlgebra(builtin("A4"), GF4)
     s = find_simples(a, 0)
-    from modrep.structure import SimpleSet
-
     crippled = SimpleSet(
         simples=s.simples[:1],
         endo_dims=s.endo_dims[:1],
@@ -275,7 +274,45 @@ def test_decomposition_requires_splitting_field():
     s = find_simples(a, 0)
     rad = jacobson_radical(a, s)
     with pytest.raises(SplittingFieldRequired):
-        primitive_decomposition(a, s, rad, 0)
+        primitive_decomposition(a, s, rad)
+
+
+def test_decomposition_duplicated_simple_rejected():
+    # with S2 listed twice, phi(x) = E_00 in the first copy's block forces
+    # E_00 in the second copy too, so the split system is inconsistent
+    a, s, rad, _ = analyze("A4", GF4)
+    doubled = SimpleSet(
+        simples=s.simples + s.simples[1:2],
+        endo_dims=s.endo_dims + s.endo_dims[1:2],
+        p_regular_classes=s.p_regular_classes,
+        splitting_field_required=False,
+    )
+    with pytest.raises(IncompleteSimpleSet):
+        primitive_decomposition(a, doubled, rad)
+
+
+@pytest.mark.parametrize(
+    "gens, degree, field",
+    [
+        (["(1,2,3)", "(3,4,5)"], 5, GF4),  # A5
+        (["(1,2,3,4,5)", "(1,2)"], 5, GF3),  # S5
+    ],
+)
+def test_decomposition_idempotents_primitive(gens, degree, field):
+    # f_i acts as a rank-1 idempotent on its own simple and as 0 on the rest
+    a = GroupAlgebra(group_generate([parse_cycles(c, degree) for c in gens], degree), field)
+    s = find_simples(a, 0)
+    rad = jacobson_radical(a, s)
+    pims = primitive_decomposition(a, s, rad)
+    assert len(pims.idempotents) == sum(m.dim for m in s.simples)
+    for f, si in zip(pims.idempotents, pims.assignment):
+        for i, m in enumerate(s.simples):
+            act = m.action_of(f)
+            if i == si:
+                assert act @ act == act
+                assert act.rank() == 1
+            else:
+                assert act.is_zero()
 
 
 # ---------------------------------------------------------- cartan matrix --
