@@ -116,12 +116,9 @@ def block_partition(
             if si in part:
                 e = e + pims.idempotents[j]
         idems.append(e)
-    # centrality: commuting with every group generator suffices
     for e in idems:
-        for gi in a.group.generators:
-            b = a.basis_elem(gi)
-            if e * b != b * e:
-                raise NonCentralSum("linkage sum fails to commute with a generator")
+        if not e.is_central():
+            raise NonCentralSum("linkage sum fails to commute with a generator")
     total = a.zero()
     for e in idems:
         total = total + e

@@ -501,42 +501,10 @@ class Poly:
         return " + ".join(reversed(terms)) if terms else "0"
 
 
-def _kernel_basis(rows: list[list[int]], n: int, k: FieldCtx) -> list[list[int]]:
-    """Nullspace of a small square matrix over k; local elimination only.
-
-    linalg has the vectorized version, but Berlekamp must not import it
-    (linalg sits above fieldcore in the module stack).
-    """
-    m = [row[:] for row in rows]
-    piv_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        s = k.inv(m[r][c])
-        m[r] = [k.mul(s, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [k.sub(x, k.mul(f, y)) for x, y in zip(m[i], m[r])]
-        piv_of_col[c] = r
-        r += 1
-    basis = []
-    for c in range(n):
-        if c in piv_of_col:
-            continue
-        v = [0] * n
-        v[c] = 1
-        for pc, pr in piv_of_col.items():
-            v[pc] = k.neg(m[pr][c])
-        basis.append(v)
-    return basis
-
-
 def _berlekamp_squarefree(f: Poly) -> list[Poly]:
     """Irreducible factors of a squarefree monic f (Berlekamp over GF(q))."""
+    from .linalg import _nullspace_arr  # linalg imports fieldcore
+
     k = f.ctx
     n = f.degree
     if n <= 1:
@@ -551,7 +519,7 @@ def _berlekamp_squarefree(f: Poly) -> list[Poly]:
         row[i] = k.sub(row[i], 1)  # Q - I
         rows.append(row)
         power = (power * xq) % f
-    kernel = _kernel_basis([list(r) for r in np.array(rows).T.tolist()], n, k)
+    kernel = _nullspace_arr(k, np.array(rows, dtype=k.dtype).T).tolist()
     if len(kernel) == 1:
         return [f]
     factors = [f]

@@ -9,9 +9,10 @@ beyond it), except where the construction already proves it (the regular
 module, read off the table, and sub_quotient, duals, direct sums and
 restrictions).
 
-Everything here is pure: modules are immutable once built, and every
-randomized step (Norton tests, isomorphism tests, chopping) takes an
-explicit seed or Generator so parallel runs stay reproducible.
+Everything here is pure: modules are immutable once built, and the
+randomized steps (the Norton test and the chop built on it) take an
+explicit seed or Generator so parallel runs stay reproducible.  Simples are
+told apart by Schur's lemma, with no random draws.
 """
 
 from __future__ import annotations
@@ -153,9 +154,10 @@ class AlgebraElem:
         return np.array_equal((self * self).coeffs, self.coeffs)
 
     def is_central(self) -> bool:
+        """Commutes with every group generator, hence with all of kG."""
         a = self.algebra
-        for i in range(a.dim):
-            b = a.basis_elem(i)
+        for gi in a.group.generators:
+            b = a.basis_elem(gi)
             if not np.array_equal((self * b).coeffs, (b * self).coeffs):
                 return False
         return True
@@ -636,7 +638,11 @@ def chop(m: Module, seed: SeedLike = 0) -> list[Module]:
 def modules_isomorphic(v: Module, w: Module, seed: SeedLike = 0) -> bool:
     """Iso test: equal dims plus an invertible element of Hom(v, w).
 
-    Tries each hom basis element, then 8 random combinations.
+    Tries each hom basis element first.  If none is invertible, False is
+    exact when v or w is indecomposable (its End is local, so the
+    non-invertible maps form a proper subspace, which holds no basis) and
+    when dim Hom <= 1 (every hom is a multiple of one map).  The 8 random
+    combinations that follow serve decomposable pairs only.
     """
     if v.algebra != w.algebra:
         raise AlgebraMismatch("modules over different algebras")
@@ -645,12 +651,12 @@ def modules_isomorphic(v: Module, w: Module, seed: SeedLike = 0) -> bool:
     if v.dim == 0:
         return True
     homs = hom_space(v, w)
-    if not homs:
-        return False
     d = v.dim
     for h in homs:
         if h.mat.rank() == d:
             return True
+    if len(homs) <= 1:
+        return False
     rng = _rng(seed)
     k = v.algebra.field
     for _ in range(8):
@@ -664,19 +670,22 @@ def modules_isomorphic(v: Module, w: Module, seed: SeedLike = 0) -> bool:
     return False
 
 
-def composition_factors(m: Module, seed: SeedLike = 0) -> list[tuple[Module, int]]:
-    """Composition factor multiset as (representative simple, multiplicity).
+def _simples_isomorphic(s: Module, t: Module) -> bool:
+    """Schur's lemma: a nonzero hom between simples is an isomorphism."""
+    return s.dim == t.dim and hom_dim(s, t) > 0
 
-    Jordan-Hoelder makes the multiset independent of the chop seed; the
-    representatives are the first-found copies, ordered by (dim, discovery).
+
+def _iso_classes(factors: Sequence[Module]) -> list[tuple[Module, int]]:
+    """Simple modules grouped by isomorphism.
+
+    One (first-found representative, count) per class, in (dim, discovery)
+    order.
     """
-    rng = _rng(seed)
-    factors = chop(m, rng)
     reps: list[Module] = []
     counts: list[int] = []
     for f in factors:
         for i, r in enumerate(reps):
-            if modules_isomorphic(f, r, rng):
+            if _simples_isomorphic(f, r):
                 counts[i] += 1
                 break
         else:
@@ -686,13 +695,21 @@ def composition_factors(m: Module, seed: SeedLike = 0) -> list[tuple[Module, int
     return [(reps[i], counts[i]) for i in order]
 
 
+def composition_factors(m: Module, seed: SeedLike = 0) -> list[tuple[Module, int]]:
+    """Composition factor multiset as (representative simple, multiplicity).
+
+    Jordan-Hoelder makes the multiset independent of the chop seed; the
+    representatives are the first-found copies, ordered by (dim, discovery).
+    """
+    return _iso_classes(chop(m, seed))
+
+
 def factor_multiset(m: Module, simples: Sequence[Module], seed: SeedLike = 0) -> list[int]:
     """Multiplicity of each given simple among the composition factors of m."""
-    rng = _rng(seed)
     counts = [0] * len(simples)
-    for f in chop(m, rng):
+    for f in chop(m, seed):
         for i, s in enumerate(simples):
-            if modules_isomorphic(f, s, rng):
+            if _simples_isomorphic(f, s):
                 counts[i] += 1
                 break
         else:
@@ -765,30 +782,17 @@ def radical_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
 
 
 def socle_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
-    """Ascending chain [0, soc U, soc^2 U, ..., U] via soc U = ker(radA)."""
+    """Ascending chain [0, soc U, soc^2 U, ..., U] as soc^i U = (rad^i U*)^perp.
+
+    The pairing of U* with U is G-invariant and rad A is closed under the
+    antipode g -> g^-1, so u is killed by (rad A)^i exactly when it is
+    orthogonal to (rad A)^i U*.
+    """
     k = m.algebra.field
-    if rad_a.ambient != m.algebra.dim:
-        raise DimensionMismatch(
-            f"radical lives in k^{rad_a.ambient}, algebra has dimension {m.algebra.dim}"
-        )
-    rho = [m.action_of(AlgebraElem(m.algebra, row)).a for row in rad_a.basis.a]
-    out = [Subspace.zero(k, m.dim)]
-    while out[-1].dim < m.dim:
-        cur = out[-1]
-        if not rho:
-            out.append(Subspace.full(k, m.dim))
-            break
-        piv = cur.pivots()
-        nonpiv = [c for c in range(m.dim) if c not in piv]
-        blocks = []
-        for r in rho:
-            red = cur.reduce_rows(r.T.copy()).T  # residuals of columns rho(r) e_j
-            blocks.append(red[nonpiv, :])
-        nxt = Subspace(k, m.dim, Mat(k, _nullspace_arr(k, np.vstack(blocks))))
-        out.append(nxt)
-        if nxt.dim == cur.dim:
-            raise NotInvariant("socle chain failed to ascend")
-    return out
+    return [
+        Subspace(k, m.dim, Mat(k, _nullspace_arr(k, r.basis.a)))
+        for r in radical_chain(dual_module(m), rad_a)
+    ]
 
 
 def radical_and_socle_series(

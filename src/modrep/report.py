@@ -273,7 +273,7 @@ def analyze_algebra(
     )
     certs.append(Certificate("cartan_column_identity", col_ok, ""))
 
-    reports = clock("pim_structure", pim_structure_report, a, s, pims, rad, seed)
+    reports = clock("pim_structure", pim_structure_report, a, s, pims, rad)
     pims_out = []
     for i, rep in enumerate(reports):
         layers = []

@@ -1,12 +1,13 @@
 """The algebra-level structure pipeline.
 
 Stages, each consuming the certified output of the one before:
-simples (chop of the regular module, count certified against the p-regular
-class count), Jacobson radical (kernel of the Wedderburn map phi: x ->
-(rho_S(x))_S, i.e. the annihilator of the simples), primitive orthogonal
-idempotents (split the identity in A/rad by one solve of phi(x) = E_jj,
-lift, re-orthogonalize), PIMs (spun left ideals), Cartan matrix (computed
-twice, by Hom dimensions and by chopping each PIM, and compared entrywise).
+simples (one chop of the regular module, classes told apart by Schur's
+lemma, count certified against the p-regular class count), Jacobson radical
+(kernel of the Wedderburn map phi: x -> (rho_S(x))_S, i.e. the annihilator
+of the simples), primitive orthogonal idempotents (split the identity in
+A/rad by one solve of phi(x) = E_jj, lift, re-orthogonalize), PIMs (spun
+left ideals), Cartan matrix (computed twice, by the ranks of the idempotents
+on the PIMs and by chopping each PIM, and compared entrywise).
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ from .modalg import (
     LoewyData,
     Module,
     SeedLike,
+    _iso_classes,
     _rng,
+    _simples_isomorphic,
     chop,
     dual_module,
     factor_multiset,
     hom_dim,
-    modules_isomorphic,
+    hom_space,
     radical_and_socle_series,
     regular_module,
     spin,
@@ -66,38 +69,27 @@ class SimpleSet:
 
 
 def find_simples(a: GroupAlgebra, seed: SeedLike = 0) -> SimpleSet:
-    """Chop the regular module and keep one representative per iso class.
+    """Chop the regular module once and keep one representative per iso class.
 
-    Over a splitting field the number of classes must equal the number of
-    p-regular conjugacy classes; disagreement after 5 reseeds is an error.
+    Every simple module is a composition factor of kG (Jordan-Hoelder), so
+    one chop finds every class whatever the seed.  Over a splitting field the
+    number of classes must equal the number of p-regular conjugacy classes;
+    a disagreement raises ChopInstability.
     """
-    rng = _rng(seed)
     _, p_reg = conjugacy_data(a.group, a.field.char)
-    reg = regular_module(a)
-    last_count = -1
-    for _ in range(5):
-        factors = chop(reg, rng)
-        reps: list[Module] = []
-        for f in factors:
-            if not any(modules_isomorphic(f, r, rng) for r in reps):
-                reps.append(f)
-        reps.sort(key=lambda m: m.dim)
-        for i, r in enumerate(reps):
-            if r is reg:  # |G| = 1: keep the shared regular module's label
-                r = reps[i] = Module(a, r.gen_action, dim=r.dim, check="off")
-            r.label = f"S{i + 1}"
-        endo = [hom_dim(r, r) for r in reps]
-        splits = all(e == 1 for e in endo)
-        if not splits or len(reps) == p_reg:
-            return SimpleSet(
-                simples=reps,
-                endo_dims=endo,
-                p_regular_classes=p_reg,
-                splitting_field_required=not splits,
-            )
-        last_count = len(reps)
-    raise ChopInstability(
-        f"found {last_count} simples but {p_reg} p-regular classes after 5 reseeds"
+    reps = [
+        Module(a, r.gen_action, dim=r.dim, label=f"S{i + 1}", check="off")
+        for i, (r, _) in enumerate(_iso_classes(chop(regular_module(a), seed)))
+    ]
+    endo = [hom_dim(r, r) for r in reps]
+    splits = all(e == 1 for e in endo)
+    if splits and len(reps) != p_reg:
+        raise ChopInstability(f"found {len(reps)} simples but {p_reg} p-regular classes")
+    return SimpleSet(
+        simples=reps,
+        endo_dims=endo,
+        p_regular_classes=p_reg,
+        splitting_field_required=not splits,
     )
 
 
@@ -284,10 +276,8 @@ def primitive_decomposition(a: GroupAlgebra, s: SimpleSet, rad: Subspace) -> Pim
     reg = regular_module(a)
     pims = []
     for f, si in zip(lifted, assignment):
-        space = spin(reg, [f.coeffs])
-        pim, _ = sub_quotient(reg, space)
-        pim.label = f"P{si + 1}"
-        pims.append(pim)
+        sub, _ = sub_quotient(reg, spin(reg, [f.coeffs]))
+        pims.append(Module(a, sub.gen_action, dim=sub.dim, label=f"P{si + 1}", check="off"))
     representative = [assignment.index(i) for i in range(len(s.simples))]
     return PimSet(lifted, assignment, pims, representative)
 
@@ -306,13 +296,19 @@ class CartanMatrix:
 def cartan_both(
     a: GroupAlgebra, s: SimpleSet, pims: PimSet, seed: SeedLike = 0
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """The Cartan matrix twice: via Hom dimensions and via chopping each PIM."""
+    """The Cartan matrix twice: via Hom out of projectives and via chopping.
+
+    The Hom route reads C[i][j] = dim Hom(P_i, P_j) = dim f_i P_j as the rank
+    of f_i on P_j (Hom_A(Af, M) = fM); the chop route counts the composition
+    factors of each P_j.  Neither route uses the other's result.
+    """
     if not s.splits:
         raise SplittingFieldRequired("Cartan invariants computed over splitting fields")
     rng = _rng(seed)
     n = len(s.simples)
     reps = [pims.pim_for_simple(i) for i in range(n)]
-    via_hom = [[hom_dim(reps[i], reps[j]) for j in range(n)] for i in range(n)]
+    heads = [pims.idempotents[pims.representative[i]] for i in range(n)]
+    via_hom = [[reps[j].action_of(heads[i]).rank() for j in range(n)] for i in range(n)]
     via_chop = [[0] * n for _ in range(n)]
     for j in range(n):
         counts = factor_multiset(reps[j], s.simples, rng)
@@ -371,13 +367,15 @@ def pim_structure_report(
     s: SimpleSet,
     pims: PimSet,
     rad: Subspace,
-    seed: SeedLike = 0,
 ) -> list[PimReport]:
     """Loewy layers and certificates for one PIM per simple.
 
-    Certificate failures are reported in the dataclass, never raised.
+    (P_i)* and P_j are compared through the canonical basis of Hom: End(P_j)
+    is local, so when they are isomorphic the non-invertible homs form a
+    proper subspace and some basis element is invertible.  Dual simples are
+    matched by Schur's lemma.  Certificate failures are reported in the
+    dataclass, never raised.
     """
-    rng = _rng(seed)
     n = len(s.simples)
     gp = _p_part(a.group.order, a.field.char)
     reports = []
@@ -390,7 +388,8 @@ def pim_structure_report(
         d = dual_module(pim)
         partner = None
         for j in range(n):
-            if modules_isomorphic(d, pims.pim_for_simple(j), rng):
+            q = pims.pim_for_simple(j)
+            if q.dim == d.dim and any(h.mat.rank() == d.dim for h in hom_space(d, q)):
                 partner = j
                 break
         reports.append(
@@ -411,7 +410,7 @@ def pim_structure_report(
     for i in range(n):
         ds = dual_module(s.simples[i])
         dual_simple.append(
-            next((j for j in range(n) if modules_isomorphic(ds, s.simples[j], rng)), None)
+            next((j for j in range(n) if _simples_isomorphic(ds, s.simples[j])), None)
         )
     for i, rep in enumerate(reports):
         rep.dual_pairing_ok = (

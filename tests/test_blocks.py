@@ -11,6 +11,7 @@ from modrep.blocks import (
 )
 from modrep.errors import (
     IncompleteSimpleSet,
+    NonCentralSum,
     NotCyclic,
     NoSuitableRoot,
     OrderDivisibleByP,
@@ -28,6 +29,7 @@ from modrep.modalg import (
 from modrep.permgroup import Subgroup, builtin, conjugacy_data, group_from_json, parse_cycles
 from modrep.report import analyze_algebra
 from modrep.structure import (
+    CartanMatrix,
     cartan_matrix,
     find_simples,
     jacobson_radical,
@@ -124,6 +126,15 @@ def test_block_partition_needs_every_simple():
     a, s, rad, pims, c, bp = analyzed("A5", GF4)
     with pytest.raises(IncompleteSimpleSet):
         block_partition(c, pims, s.simples[:-1], s.trivial_index())
+
+
+def test_block_partition_rejects_a_non_central_linkage_sum():
+    # kA4/GF(4) is one block; a diagonal Cartan matrix would make each
+    # single primitive idempotent a block idempotent, and none is central
+    a, s, rad, pims, c, bp = analyzed("A4", GF4)
+    diagonal = CartanMatrix([[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+    with pytest.raises(NonCentralSum):
+        block_partition(diagonal, pims, s.simples, s.trivial_index())
 
 
 def test_block_invariants_sum_orthogonal_central():

@@ -36,7 +36,13 @@ from modrep.modalg import (
     sub_quotient,
     trivial_module,
 )
-from modrep.permgroup import builtin, cosets_and_quotient, normal_p_core, parse_cycles
+from modrep.permgroup import (
+    builtin,
+    conjugacy_data,
+    cosets_and_quotient,
+    normal_p_core,
+    parse_cycles,
+)
 
 GF2 = field_make(2, 1)
 GF4 = field_make(2, 2)
@@ -410,6 +416,17 @@ def test_conv_of_a_stack_is_rowwise():
     assert stacked.shape == rows.shape
     for r, out in zip(rows, stacked):
         assert np.array_equal(out, KA4.conv(x, r))
+
+
+def test_is_central_tests_the_generators():
+    ks3 = GroupAlgebra(builtin("S3"), GF2)
+    g = ks3.group
+    transposition = ks3.basis_elem(g.index_of(parse_cycles("(1,2)", 3)))
+    assert not transposition.is_central()
+    classes, _ = conjugacy_data(g, 2)
+    for cls in classes:
+        class_sum = ks3.from_coeffs((i, 1) for i in cls.members)
+        assert class_sum.is_central()
 
 
 def test_dual_of_trivial_and_involution():

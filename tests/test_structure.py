@@ -9,11 +9,18 @@ from modrep.errors import (
 )
 from modrep.fieldcore import field_make
 from modrep.linalg import Mat, Subspace
-from modrep.modalg import GroupAlgebra, modules_isomorphic, regular_module, trivial_module
+from modrep.modalg import (
+    GroupAlgebra,
+    hom_dim,
+    modules_isomorphic,
+    regular_module,
+    trivial_module,
+)
 from modrep.permgroup import builtin, group_generate, parse_cycles
 from modrep.structure import (
     SimpleSet,
     _ideal_nilpotency_index,
+    cartan_both,
     cartan_matrix,
     find_simples,
     jacobson_radical,
@@ -26,6 +33,7 @@ GF2 = field_make(2, 1)
 GF3 = field_make(3, 1)
 GF4 = field_make(2, 2)
 GF5 = field_make(5, 1)
+GF9 = field_make(3, 2)
 W = GF4.omega.val
 W2 = GF4.mul(W, W)
 
@@ -69,6 +77,16 @@ def test_simples_ka5_gf4():
     assert [m.dim for m in s.simples] == [1, 2, 2, 4]
     assert s.p_regular_classes == 4
     assert s.splits
+
+
+def test_simples_ka5_gf4_independent_of_the_chop_seed():
+    # one chop of kG meets every simple (Jordan-Hoelder), whatever the seed
+    a = GroupAlgebra(builtin("A5"), GF4)
+    for seed in range(5):
+        s = find_simples(a, seed)
+        assert [m.dim for m in s.simples] == [1, 2, 2, 4]
+        assert s.endo_dims == [1, 1, 1, 1]
+        assert [m.label for m in s.simples] == ["S1", "S2", "S3", "S4"]
 
 
 def test_simples_nonsplit_sets_flag():
@@ -335,12 +353,36 @@ def test_cartan_ka5():
     assert c.is_symmetric()
 
 
+@pytest.mark.parametrize(
+    "name, field",
+    [("A5", GF4), ("A5", GF9), ("S4", GF3)],
+    ids=["A5/GF(4)", "A5/GF(9)", "S4/GF(3)"],
+)
+def test_cartan_rank_route_equals_hom_dims(name, field):
+    a, s, rad, pims = analyze(name, field)
+    reps = [pims.pim_for_simple(i) for i in range(len(s.simples))]
+    via_hom, via_chop = cartan_both(a, s, pims, 0)
+    assert via_hom == [[hom_dim(p, q) for q in reps] for p in reps]
+    assert via_hom == via_chop
+
+
+def test_modules_isomorphic_draws_nothing_for_a_one_dim_hom():
+    # P1, P2 of kA4/GF(4): dim 4 each, Hom(P1, P2) of dim 1 and not invertible
+    a, s, rad, pims = analyze("A4", GF4)
+    p1, p2 = pims.pim_for_simple(0), pims.pim_for_simple(1)
+    assert p1.dim == p2.dim == 4 and hom_dim(p1, p2) == 1
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert not modules_isomorphic(p1, p2, rng)
+    assert rng.bit_generator.state == state
+
+
 # ------------------------------------------------------------ pim report --
 
 
 def test_pim_report_klein_loewy():
     a, s, rad, pims = analyze("V4", GF2)
-    reports = pim_structure_report(a, s, pims, rad, 0)
+    reports = pim_structure_report(a, s, pims, rad)
     assert len(reports) == 1
     r = reports[0]
     assert r.loewy.layer_dims() == [1, 2, 1]
@@ -351,7 +393,7 @@ def test_pim_report_klein_loewy():
 
 def test_pim_report_ka4_layers():
     a, s, rad, pims = analyze("A4", GF4)
-    reports = pim_structure_report(a, s, pims, rad, 0)
+    reports = pim_structure_report(a, s, pims, rad)
     for i, r in enumerate(reports):
         mults = r.layer_mults()
         assert len(mults) == 3
@@ -367,7 +409,7 @@ def test_pim_report_ka4_layers():
 
 def test_pim_report_ka5():
     a, s, rad, pims = analyze("A5", GF4)
-    reports = pim_structure_report(a, s, pims, rad, 0)
+    reports = pim_structure_report(a, s, pims, rad)
     dims = [r.dim for r in reports]
     assert dims == [12, 8, 8, 4]
     # P4 = S4 is simple projective: single layer
