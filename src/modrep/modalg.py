@@ -6,8 +6,8 @@ module reads them off the multiplication table instead) and are cached.  The
 constructor certifies that the generator matrices actually extend to an
 action of the whole multiplication table (full check at desk scale, sampled
 beyond it), except where the construction already proves it (the regular
-module, read off the table, and sub_quotient, duals, direct sums and
-restrictions).
+module, read off the table, and sub_quotient, duals, direct sums,
+restrictions and induced modules).
 
 Everything here is pure: modules are immutable once built, and the
 randomized steps (the Norton test and the chop built on it) take an
@@ -188,11 +188,13 @@ class Module:
 
     Invariance (the generator matrices extend to an action of the whole
     group) is checked where matrices enter from outside: a user-built
-    Module(...) and module_from_json.  sub_quotient results skip the check,
-    because its exact residual test already proves them, and so do the dual,
-    direct sum and restriction of a module, whose actions are homomorphic
-    images of valid ones; the regular module is read off the group's
-    multiplication table, which is not outside input.
+    Module(...), module_from_json and inflate_module (whose QuotientMap may
+    be user-built).  sub_quotient results skip the check, because its exact
+    residual test already proves them, and so do the dual, direct sum and
+    restriction of a module, whose actions are homomorphic images of valid
+    ones, and the induced module, built from a transversal computed here;
+    the regular module is read off the group's multiplication table, which
+    is not outside input.
     """
 
     def __init__(
@@ -755,8 +757,8 @@ def section_module(m: Module, outer: Subspace, inner: Subspace) -> Module:
     return layer
 
 
-def _semisimple_mults(layer: Module, simples: Sequence[Module], endo: Sequence[int]) -> tuple[int, ...]:
-    return tuple(hom_dim(s, layer) // e for s, e in zip(simples, endo))
+def _semisimple_mults(layer: Module, simples: Sequence[Module]) -> tuple[int, ...]:
+    return tuple(hom_dim(s, layer) for s in simples)
 
 
 def radical_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
@@ -795,24 +797,22 @@ def socle_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
     ]
 
 
-def radical_and_socle_series(
-    m: Module,
-    rad_a: Subspace,
-    simples: Sequence[Module],
-    endo_dims: Optional[Sequence[int]] = None,
-) -> LoewyData:
-    """Loewy data from rad U = radA.U and soc U = {u | radA.u = 0}."""
-    endo = list(endo_dims) if endo_dims is not None else [1] * len(simples)
+def radical_and_socle_series(m: Module, rad_a: Subspace, simples: Sequence[Module]) -> LoewyData:
+    """Loewy data from rad U = radA.U and soc U = {u | radA.u = 0}.
+
+    The reference simples must be absolutely simple (End(S) = k), so that
+    the multiplicity of S in a semisimple layer L is dim Hom(S, L).
+    """
     rads = radical_chain(m, rad_a)
     socs = socle_chain(m, rad_a)
     rad_layers = []
     for i in range(len(rads) - 1):
         layer = section_module(m, rads[i], rads[i + 1])
-        rad_layers.append(LoewyLayer(layer, _semisimple_mults(layer, simples, endo)))
+        rad_layers.append(LoewyLayer(layer, _semisimple_mults(layer, simples)))
     soc_layers = []
     for i in range(len(socs) - 1):
         layer = section_module(m, socs[i + 1], socs[i])
-        soc_layers.append(LoewyLayer(layer, _semisimple_mults(layer, simples, endo)))
+        soc_layers.append(LoewyLayer(layer, _semisimple_mults(layer, simples)))
     return LoewyData(tuple(rad_layers), tuple(soc_layers))
 
 
@@ -831,7 +831,14 @@ def restrict_module(m: Module, h: GroupTable) -> Module:
 
 
 def induce_module(m: Module, g_alg: GroupAlgebra) -> Module:
-    """Induction along H <= G: block matrices over the left transversal."""
+    """Induction along H <= G: block matrices over the left transversal.
+
+    The transversal x_1..x_n is computed here from H's own generators, and
+    g x_i = x_j h with h in H (the guard below rejects any other h) puts
+    rho(h) in block (j, i).  That block-monomial formula is multiplicative in
+    g whenever rho is an action of H, so for a valid H-module the generator
+    matrices extend to G and the result skips the constructor's check.
+    """
     h_table = m.algebra.group
     g = g_alg.group
     if m.algebra.field != g_alg.field:
@@ -859,11 +866,16 @@ def induce_module(m: Module, g_alg: GroupAlgebra) -> Module:
             big[j * d : (j + 1) * d, i * d : (i + 1) * d] = hmat.a
         gens.append(Mat(k, big))
     label = f"({m.label})^G" if m.label else None
-    return Module(g_alg, gens, dim=n * d, label=label, check="sample")
+    return Module(g_alg, gens, dim=n * d, label=label, check="off")
 
 
 def inflate_module(m: Module, g_alg: GroupAlgebra, qmap: Optional[QuotientMap]) -> Module:
-    """Inflation along a recorded projection G -> G/N."""
+    """Inflation along a recorded projection G -> G/N.
+
+    QuotientMap is a public dataclass, so its projection may come from
+    outside cosets_and_quotient and need not be a homomorphism; the result
+    keeps the constructor's sampled check.
+    """
     if qmap is None:
         raise NoQuotientRecorded("inflation needs the quotient's projection map")
     if qmap.quotient is not m.algebra.group:

@@ -166,7 +166,6 @@ class Analysis:
     radical: Subspace
     pims: Optional[PimSet]
     cartan: Optional[CartanMatrix]
-    cartan_via_chop: Optional[list[list[int]]]
     pim_reports: Optional[list]
     block_partition: Optional[BlockPartition]
     block_dims: Optional[list[int]]
@@ -232,7 +231,7 @@ def analyze_algebra(
             timings=timings,
             label_map=label_map or {},
         )
-        return Analysis(a, s, rad, None, None, None, None, None, None, report)
+        return Analysis(a, s, rad, None, None, None, None, None, report)
 
     pims = clock("primitive_decomposition", primitive_decomposition, a, s, rad)
     n = len(s.simples)
@@ -366,4 +365,4 @@ def analyze_algebra(
         timings=timings,
         label_map=label_map or {},
     )
-    return Analysis(a, s, rad, pims, cart, via_chop, reports, bp, block_dims, report)
+    return Analysis(a, s, rad, pims, cart, reports, bp, block_dims, report)

@@ -39,7 +39,6 @@ from .modalg import (
     dual_module,
     factor_multiset,
     hom_dim,
-    hom_space,
     radical_and_socle_series,
     regular_module,
     spin,
@@ -370,26 +369,28 @@ def pim_structure_report(
 ) -> list[PimReport]:
     """Loewy layers and certificates for one PIM per simple.
 
-    (P_i)* and P_j are compared through the canonical basis of Hom: End(P_j)
-    is local, so when they are isomorphic the non-invertible homs form a
-    proper subspace and some basis element is invertible.  Dual simples are
-    matched by Schur's lemma.  Certificate failures are reported in the
-    dataclass, never raised.
+    (P_i)* is projective indecomposable (a summand of (kG)*, which is
+    isomorphic to kG) and a PIM is fixed by its head, so (P_i)* is
+    isomorphic to P_j exactly when the dimensions agree and Hom((P_i)*, S_j)
+    is nonzero: a Hom into a simple, not between PIMs.  The simples are
+    absolutely simple here (PIMs exist only over splitting fields), so every
+    layer multiplicity is a Hom dimension.  Dual simples are matched by
+    Schur's lemma.  Certificate failures are reported in the dataclass,
+    never raised.
     """
     n = len(s.simples)
     gp = _p_part(a.group.order, a.field.char)
     reports = []
     for i in range(n):
         pim = pims.pim_for_simple(i)
-        data = radical_and_socle_series(pim, rad, s.simples, s.endo_dims)
+        data = radical_and_socle_series(pim, rad, s.simples)
         head = _unique_simple_of_layer(data.radical_layers[0].mults)
         socle = _unique_simple_of_layer(data.socle_layers[0].mults)
         head_iso_socle = head is not None and head == socle
         d = dual_module(pim)
         partner = None
         for j in range(n):
-            q = pims.pim_for_simple(j)
-            if q.dim == d.dim and any(h.mat.rank() == d.dim for h in hom_space(d, q)):
+            if pims.pim_for_simple(j).dim == d.dim and hom_dim(d, s.simples[j]) > 0:
                 partner = j
                 break
         reports.append(

@@ -401,10 +401,15 @@ def test_inflate_t2_from_c3():
 
 
 def test_unchecked_derived_modules_pass_the_full_check():
-    # dual, direct sum and restriction skip the constructor's check
+    # dual, direct sum, restriction and induction skip the constructor's check
     m = a4_m_module(1)
     s = a5_s2_module()
-    for derived in [dual_module(m), direct_sum([m, dual_module(m)]), restrict_module(s, A4)]:
+    for derived in [
+        dual_module(m),
+        direct_sum([m, dual_module(m)]),
+        restrict_module(s, A4),
+        induce_module(m, KA5),
+    ]:
         derived._verify("full")
 
 

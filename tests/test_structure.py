@@ -11,7 +11,9 @@ from modrep.fieldcore import field_make
 from modrep.linalg import Mat, Subspace
 from modrep.modalg import (
     GroupAlgebra,
+    dual_module,
     hom_dim,
+    hom_space,
     modules_isomorphic,
     regular_module,
     trivial_module,
@@ -425,6 +427,38 @@ def test_pim_report_ka5():
         assert r.dual_pairing_ok
     # every simple of kA5 over GF(4) is self-dual, so each PIM is too
     assert [r.dual_partner for r in reports] == [0, 1, 2, 3]
+
+
+def _invertible_hom_partner(s, pims, i):
+    """The pairing by an invertible basis element of Hom((P_i)*, P_j)."""
+    d = dual_module(pims.pim_for_simple(i))
+    for j in range(len(s.simples)):
+        q = pims.pim_for_simple(j)
+        if q.dim == d.dim and any(h.mat.rank() == d.dim for h in hom_space(d, q)):
+            return j
+    return None
+
+
+@pytest.mark.parametrize(
+    "gens, degree, field",
+    [
+        (["(1,2,3)", "(1,2)(3,4)"], 4, GF4),  # A4: T2* = T3, so P2* = P3
+        (["(1,2,3)", "(3,4,5)"], 5, GF4),  # A5
+        (["(1,2,3)", "(3,4,5)"], 5, GF9),  # A5
+        (["(1,2,3,4)", "(1,2)"], 4, GF3),  # S4
+        (["(1,2,3,4,5)", "(1,2)"], 5, GF2),  # S5
+    ],
+    ids=["A4/GF(4)", "A5/GF(4)", "A5/GF(9)", "S4/GF(3)", "S5/GF(2)"],
+)
+def test_dual_partner_head_test_equals_invertible_hom(gens, degree, field):
+    a = GroupAlgebra(group_generate([parse_cycles(c, degree) for c in gens], degree), field)
+    s = find_simples(a, 0)
+    rad = jacobson_radical(a, s)
+    pims = primitive_decomposition(a, s, rad)
+    reports = pim_structure_report(a, s, pims, rad)
+    expected = [_invertible_hom_partner(s, pims, i) for i in range(len(s.simples))]
+    assert None not in expected
+    assert [r.dual_partner for r in reports] == expected
 
 
 def test_dim_identity_all_algebras():
