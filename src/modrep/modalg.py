@@ -243,9 +243,6 @@ class Module:
             self._mats[j] = _matmul_arr(k, self._mats[parent], self.gen_action[gi].a)
         return self._mats[chain[0] if chain else i]
 
-    def _all_mats(self) -> list[np.ndarray]:
-        return [self._mat_arr(i) for i in range(self.algebra.group.order)]
-
     def element_mat(self, i: int) -> Mat:
         """Action matrix of the i-th group element."""
         return Mat(self.algebra.field, self._mat_arr(i))
@@ -267,7 +264,7 @@ class Module:
             return
         full = mode == "full" or (mode == "auto" and self.dim * g.order <= FULL_CHECK_LIMIT)
         if full:
-            mats = self._all_mats()
+            mats = [self._mat_arr(i) for i in range(g.order)]
             stacked = np.hstack(mats)  # d x (n*d), h-th block is rho(h)
             for gi in g.generators:
                 prod = _matmul_arr(k, mats[gi], stacked)
@@ -380,20 +377,13 @@ def module_from_json(a: GroupAlgebra, text_or_obj) -> Module:
 def _spin_arrays(k: FieldCtx, gens: Sequence[np.ndarray], seeds: np.ndarray, dim: int) -> Subspace:
     space = Subspace.from_vectors(k, dim, seeds)
     frontier = space.basis.a
-    while frontier.size and space.dim < dim:
-        images = []
-        for g in gens:
-            images.append(_matmul_arr(k, frontier, g.T.copy()))
-        if not images:
-            break
-        batch = space.reduce_rows(np.vstack(images))
+    while gens and frontier.size and space.dim < dim:
+        batch = space.reduce_rows(np.vstack([_matmul_arr(k, frontier, g.T.copy()) for g in gens]))
         batch = batch[batch.any(axis=1)]
         if batch.size == 0:
             break
+        # a nonzero residual lies outside space, so the new space is larger
         newspace = Subspace(k, dim, Mat(k, np.vstack([space.basis.a, batch])))
-        gained = newspace.dim - space.dim
-        if gained == 0:
-            break
         # fresh directions only: reduce new basis rows by the old space
         fresh = space.reduce_rows(newspace.basis.a)
         frontier = fresh[fresh.any(axis=1)]
@@ -618,18 +608,33 @@ def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
 # ------------------------------------------------------------------- chop --
 
 
-def chop(m: Module, seed: SeedLike = 0) -> list[Module]:
-    """All composition factors of m as modules (recursive MeatAxe chop)."""
+class _Factors(list):
+    """chop's factors; a chop with until_classes also keeps in `reps` the
+    first factor of each iso class, in discovery order (see _class_of)."""
+
+
+def chop(m: Module, seed: SeedLike = 0, until_classes: Optional[int] = None) -> list[Module]:
+    """All composition factors of m as modules (recursive MeatAxe chop).
+
+    With until_classes = n the chop ends as soon as its factors hold n
+    pairwise non-isomorphic modules, each factor classified once by
+    Schur's lemma; the comparisons draw nothing, so the factors are a
+    prefix of the full chop with the same seed.  A chop that never reaches
+    n classes runs to the end.
+    """
     rng = _rng(seed)
-    out: list[Module] = []
+    out = _Factors()
+    out.reps = []
     stack = [m]
-    while stack:
+    while stack and len(out.reps) != until_classes:  # never equal to None
         cur = stack.pop()
         if cur.dim == 0:
             continue
         verdict = is_irreducible(cur, rng)
         if verdict.irreducible:
             out.append(cur)
+            if until_classes is not None:
+                _class_of(cur, out.reps)
             continue
         sub, quot = sub_quotient(cur, verdict.witness)
         stack.append(quot)
@@ -677,6 +682,14 @@ def _simples_isomorphic(s: Module, t: Module) -> bool:
     return s.dim == t.dim and hom_dim(s, t) > 0
 
 
+def _class_of(f: Module, reps: list[Module]) -> int:
+    """Index of the simple f's iso class among reps, appending f if new."""
+    i = next((i for i, r in enumerate(reps) if _simples_isomorphic(f, r)), len(reps))
+    if i == len(reps):
+        reps.append(f)
+    return i
+
+
 def _iso_classes(factors: Sequence[Module]) -> list[tuple[Module, int]]:
     """Simple modules grouped by isomorphism.
 
@@ -684,17 +697,10 @@ def _iso_classes(factors: Sequence[Module]) -> list[tuple[Module, int]]:
     order.
     """
     reps: list[Module] = []
-    counts: list[int] = []
+    counts = [0] * len(factors)
     for f in factors:
-        for i, r in enumerate(reps):
-            if _simples_isomorphic(f, r):
-                counts[i] += 1
-                break
-        else:
-            reps.append(f)
-            counts.append(1)
-    order = sorted(range(len(reps)), key=lambda i: (reps[i].dim, i))
-    return [(reps[i], counts[i]) for i in order]
+        counts[_class_of(f, reps)] += 1
+    return sorted(zip(reps, counts), key=lambda c: c[0].dim)
 
 
 def composition_factors(m: Module, seed: SeedLike = 0) -> list[tuple[Module, int]]:
@@ -741,19 +747,15 @@ class LoewyData:
         return [layer.module.dim for layer in self.radical_layers]
 
 
-def _sub_coords(outer: Subspace, inner: Subspace) -> Subspace:
-    """inner expressed in coordinates of outer's RREF basis (inner <= outer)."""
-    k = outer.ctx
-    rows = inner.basis.a[:, outer.pivots()]
-    return Subspace(k, outer.dim, Mat(k, rows.copy()))
-
-
 def section_module(m: Module, outer: Subspace, inner: Subspace) -> Module:
     """The subquotient outer/inner of m as a module (inner <= outer <= m)."""
     sub, _ = sub_quotient(m, outer)
     if inner.dim == 0:
         return sub
-    _, layer = sub_quotient(sub, _sub_coords(outer, inner))
+    # inner in the coordinates of outer's RREF basis
+    k = m.algebra.field
+    coords = Subspace(k, outer.dim, Mat(k, inner.basis.a[:, outer.pivots()].copy()))
+    _, layer = sub_quotient(sub, coords)
     return layer
 
 
@@ -761,39 +763,48 @@ def _semisimple_mults(layer: Module, simples: Sequence[Module]) -> tuple[int, ..
     return tuple(hom_dim(s, layer) for s in simples)
 
 
-def radical_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
-    """Descending chain [U, rad U, rad^2 U, ..., 0] via rad U = radA.U."""
-    k = m.algebra.field
+def _rad_actions(m: Module, rad_a: Subspace) -> list[np.ndarray]:
+    """rho_U(y) for each basis row y of rad A."""
     if rad_a.ambient != m.algebra.dim:
         raise DimensionMismatch(
             f"radical lives in k^{rad_a.ambient}, algebra has dimension {m.algebra.dim}"
         )
-    rho = [m.action_of(AlgebraElem(m.algebra, row)).a for row in rad_a.basis.a]
-    out = [Subspace.full(k, m.dim)]
+    return [m.action_of(AlgebraElem(m.algebra, row)).a for row in rad_a.basis.a]
+
+
+def _descending_chain(k: FieldCtx, dim: int, rho: Sequence[np.ndarray]) -> list[Subspace]:
+    """[V, VJ, VJ^2, ..., 0] for V = k^dim as rows and J = span(rho) acting on the right."""
+    out = [Subspace.full(k, dim)]
     while out[-1].dim > 0:
         cur = out[-1]
         if not rho:
-            out.append(Subspace.zero(k, m.dim))
+            out.append(Subspace.zero(k, dim))
             break
-        images = np.vstack([_matmul_arr(k, cur.basis.a, r.T.copy()) for r in rho])
-        nxt = Subspace(k, m.dim, Mat(k, images))
+        nxt = Subspace(k, dim, Mat(k, np.vstack([_matmul_arr(k, cur.basis.a, r) for r in rho])))
         out.append(nxt)
         if nxt.dim == cur.dim:
             raise NotInvariant("radical chain failed to descend; rad_a is not nilpotent")
     return out
 
 
+def radical_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
+    """Descending chain [U, rad U, rad^2 U, ..., 0] via rad U = radA.U."""
+    return _descending_chain(m.algebra.field, m.dim, [r.T.copy() for r in _rad_actions(m, rad_a)])
+
+
 def socle_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
     """Ascending chain [0, soc U, soc^2 U, ..., U] as soc^i U = (rad^i U*)^perp.
 
-    The pairing of U* with U is G-invariant and rad A is closed under the
-    antipode g -> g^-1, so u is killed by (rad A)^i exactly when it is
-    orthogonal to (rad A)^i U*.
+    The pairing of U* with U is G-invariant, so u is killed by (rad A)^i
+    exactly when it is orthogonal to (rad A)^i U*.  y acts on U* by
+    rho_U(y^)^T, y^ the image of y under the antipode g -> g^-1, and rad A
+    is closed under the antipode, so rad A acts on U* (rows) through the
+    rho_U(y), y in rad A: U* itself is never built.
     """
     k = m.algebra.field
     return [
         Subspace(k, m.dim, Mat(k, _nullspace_arr(k, r.basis.a)))
-        for r in radical_chain(dual_module(m), rad_a)
+        for r in _descending_chain(k, m.dim, _rad_actions(m, rad_a))
     ]
 
 
@@ -803,8 +814,13 @@ def radical_and_socle_series(m: Module, rad_a: Subspace, simples: Sequence[Modul
     The reference simples must be absolutely simple (End(S) = k), so that
     the multiplicity of S in a semisimple layer L is dim Hom(S, L).
     """
-    rads = radical_chain(m, rad_a)
-    socs = socle_chain(m, rad_a)
+    k = m.algebra.field
+    rho = _rad_actions(m, rad_a)  # one action_of list for both chains
+    rads = _descending_chain(k, m.dim, [r.T.copy() for r in rho])
+    socs = [
+        Subspace(k, m.dim, Mat(k, _nullspace_arr(k, r.basis.a)))
+        for r in _descending_chain(k, m.dim, rho)
+    ]
     rad_layers = []
     for i in range(len(rads) - 1):
         layer = section_module(m, rads[i], rads[i + 1])

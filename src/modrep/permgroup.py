@@ -248,32 +248,26 @@ class ConjClass:
 
 
 def conjugacy_data(g: GroupTable, p: int) -> tuple[list[ConjClass], int]:
-    """Conjugacy classes (brute-force orbits) and the p-regular class count."""
-    n = g.order
-    assigned = [False] * n
+    """Conjugacy classes and the p-regular class count.
+
+    The class of x is {g x g^-1 : g in G}, one gather from the table; the
+    first unassigned index is the least member of its class.
+    """
+    assigned = np.zeros(g.order, dtype=bool)
     classes = []
-    for i in range(n):
+    for i in range(g.order):
         if assigned[i]:
             continue
-        orbit = {i}
-        frontier = [i]
-        while frontier:
-            x = frontier.pop()
-            for h in range(n):
-                y = g.conjugate(h, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for x in orbit:
-            assigned[x] = True
+        orbit = np.zeros(g.order, dtype=bool)
+        orbit[g.mult[g.mult[:, i], g.inv]] = True
+        assigned |= orbit
         classes.append(
             ConjClass(
-                rep=min(orbit),
-                members=tuple(sorted(orbit)),
+                rep=i,
+                members=tuple(int(x) for x in np.flatnonzero(orbit)),
                 p_regular=g.element_order(i) % p != 0,
             )
         )
-    classes.sort(key=lambda c: c.rep)
     return classes, sum(1 for c in classes if c.p_regular)
 
 

@@ -1,8 +1,9 @@
 """The algebra-level structure pipeline.
 
 Stages, each consuming the certified output of the one before:
-simples (one chop of the regular module, classes told apart by Schur's
-lemma, count certified against the p-regular class count), Jacobson radical
+simples (a chop of the regular module that stops once every class has
+appeared, classes told apart by Schur's lemma, count certified against the
+p-regular class count), Jacobson radical
 (kernel of the Wedderburn map phi: x -> (rho_S(x))_S, i.e. the annihilator
 of the simples), primitive orthogonal idempotents (split the identity in
 A/rad by one solve of phi(x) = E_jj, lift, re-orthogonalize), PIMs (spun
@@ -32,7 +33,6 @@ from .modalg import (
     LoewyData,
     Module,
     SeedLike,
-    _iso_classes,
     _rng,
     _simples_isomorphic,
     chop,
@@ -68,17 +68,23 @@ class SimpleSet:
 
 
 def find_simples(a: GroupAlgebra, seed: SeedLike = 0) -> SimpleSet:
-    """Chop the regular module once and keep one representative per iso class.
+    """Chop the regular module and keep one representative per iso class.
 
-    Every simple module is a composition factor of kG (Jordan-Hoelder), so
-    one chop finds every class whatever the seed.  Over a splitting field the
-    number of classes must equal the number of p-regular conjugacy classes;
-    a disagreement raises ChopInstability.
+    Every simple module is a composition factor of kG (Jordan-Hoelder), and
+    there are at most l = #p-regular classes of them, with l exactly over a
+    splitting field (Brauer), so the chop stops once l classes have
+    appeared; the representatives are the first-found copies, as in the
+    full chop.  No certificate is lost: a class counted twice breaks the
+    Wedderburn identity in jacobson_radical and a missing one its
+    nilpotency check.  A non-splitting field never reaches l classes and
+    gets the full chop.  Over a splitting field fewer than l classes raise
+    ChopInstability.
     """
     _, p_reg = conjugacy_data(a.group, a.field.char)
+    found = chop(regular_module(a), seed, until_classes=p_reg).reps
     reps = [
         Module(a, r.gen_action, dim=r.dim, label=f"S{i + 1}", check="off")
-        for i, (r, _) in enumerate(_iso_classes(chop(regular_module(a), seed)))
+        for i, r in enumerate(sorted(found, key=lambda r: r.dim))
     ]
     endo = [hom_dim(r, r) for r in reps]
     splits = all(e == 1 for e in endo)

@@ -115,6 +115,45 @@ def test_conjugacy_trivial():
     assert len(classes) == 1 and nreg == 1
 
 
+def _classes_by_bfs(g):
+    """Reference: each class as the closure of x under x -> h x h^-1, one
+    conjugate call per (h, x) (the search conjugacy_data replaced)."""
+    assigned = [False] * g.order
+    out = []
+    for i in range(g.order):
+        if assigned[i]:
+            continue
+        orbit, frontier = {i}, [i]
+        while frontier:
+            x = frontier.pop()
+            for h in range(g.order):
+                y = g.conjugate(h, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        for x in orbit:
+            assigned[x] = True
+        out.append((min(orbit), tuple(sorted(orbit))))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "A4",
+        "S4",
+        "A5",
+        {"degree": 5, "generators": ["(1,2,3,4,5)", "(1,2)"]},
+        {"degree": 7, "generators": ["(1,2,3,4,5,6,7)", "(1,2)(3,6)"]},
+    ],
+    ids=["A4", "S4", "A5", "S5", "PSL27"],
+)
+def test_conjugacy_classes_match_bfs_reference(spec):
+    g = builtin(spec) if isinstance(spec, str) else group_from_json(spec)
+    classes, _ = conjugacy_data(g, 2)
+    assert [(c.rep, c.members) for c in classes] == _classes_by_bfs(g)
+
+
 def test_class_sizes_satisfy_orbit_stabilizer():
     for name in ["A4", "A5", "S4"]:
         g = builtin(name)

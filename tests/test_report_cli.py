@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -205,3 +206,18 @@ def test_analysis_object_surface():
     assert an.block_dims == [12]
     text = an.report.to_text()
     assert "timings:" in text
+
+
+def test_timings_name_every_stage_and_sum_to_the_call():
+    stages = ["find_simples", "jacobson_radical", "primitive_decomposition", "cartan",
+              "pim_structure", "blocks", "assembly"]
+    for field, keys in [(field_make(2, 2), stages),
+                        (field_make(2, 1), ["find_simples", "jacobson_radical", "assembly"])]:
+        t0 = time.perf_counter()
+        an = analyze_algebra(builtin("A4"), field, seed=0)
+        wall = time.perf_counter() - t0
+        timings = an.report.timings
+        assert list(timings) == keys
+        assert all(v >= 0 for v in timings.values())
+        assert sum(timings.values()) <= wall
+        assert "timings" not in an.report.to_obj()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from modrep import modalg
 from modrep.errors import (
+    ChopInstability,
     IncompleteSimpleSet,
     NoConvergence,
     NotIdempotentModRad,
@@ -11,6 +13,8 @@ from modrep.fieldcore import field_make
 from modrep.linalg import Mat, Subspace
 from modrep.modalg import (
     GroupAlgebra,
+    _iso_classes,
+    chop,
     dual_module,
     hom_dim,
     hom_space,
@@ -18,7 +22,8 @@ from modrep.modalg import (
     regular_module,
     trivial_module,
 )
-from modrep.permgroup import builtin, group_generate, parse_cycles
+from modrep.permgroup import builtin, conjugacy_data, group_from_json, group_generate, parse_cycles
+from modrep.report import analyze_algebra
 from modrep.structure import (
     SimpleSet,
     _ideal_nilpotency_index,
@@ -107,6 +112,52 @@ def test_simples_of_trivial_group_keep_regular_module_label():
     s = find_simples(a, 0)
     assert [m.label for m in s.simples] == ["S1"]
     assert reg.label == "regular"
+
+
+def _group(name):
+    if name == "S5":
+        return group_from_json({"degree": 5, "generators": ["(1,2,3,4,5)", "(1,2)"]})
+    return builtin(name)
+
+
+def _same_modules(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.dim == y.dim
+        and all(np.array_equal(g.a, h.a) for g, h in zip(x.gen_action, y.gen_action))
+        for x, y in zip(xs, ys)
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "name, field",
+    [("A4", GF4), ("A5", GF4), ("A5", GF5), ("A5", GF9), ("S4", GF3), ("S5", GF2), ("A5", GF2)],
+    ids=["A4-GF4", "A5-GF4", "A5-GF5", "A5-GF9", "S4-GF3", "S5-GF2", "A5-GF2"],
+)
+def test_early_stop_is_a_prefix_of_the_full_chop_with_its_simples(name, field, seed):
+    a = GroupAlgebra(_group(name), field)
+    _, p_reg = conjugacy_data(a.group, field.char)
+    full = chop(regular_module(a), seed)
+    short = chop(regular_module(a), seed, until_classes=p_reg)
+    assert _same_modules(short, full[: len(short)])
+    # A5 over GF(2) does not split: it never reaches p_reg classes
+    assert (len(short) == len(full)) == ((name, field) == ("A5", GF2))
+    # reference: every factor of the full chop, grouped by Schur's lemma
+    reference = [r for r, _ in _iso_classes(full)]
+    assert _same_modules(find_simples(a, seed).simples, reference)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "name, field", [("A5", GF4), ("A5", GF5), ("S5", GF2)], ids=["A5-GF4", "A5-GF5", "S5-GF2"]
+)
+def test_schur_test_that_never_matches_yields_no_report(monkeypatch, name, field, seed):
+    # every factor then opens a class, so the early stop keeps duplicates and
+    # misses classes: the Wedderburn identity, the nilpotency check or the
+    # Cartan chop route must refuse the result
+    monkeypatch.setattr(modalg, "_simples_isomorphic", lambda s, t: False)
+    with pytest.raises((IncompleteSimpleSet, ChopInstability)):
+        analyze_algebra(_group(name), field, seed)
 
 
 # ------------------------------------------------------ jacobson_radical --
