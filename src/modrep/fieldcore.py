@@ -3,7 +3,8 @@
 Elements of GF(p^k) are encoded as integers in 0..p^k-1 whose base-p digits
 are the coefficients (low degree first) of the residue modulo the field's
 modulus polynomial.  A FieldCtx owns lookup tables for the full arithmetic,
-so downstream code can run vectorized numpy kernels on raw encodings.
+so downstream code can run vectorized numpy kernels on raw encodings, and
+float64 digit tables through which matrix products run as BLAS calls.
 """
 
 from __future__ import annotations
@@ -172,6 +173,20 @@ class FieldCtx:
         self.MUL = mul.astype(dt)
         self.NEG = neg.astype(dt)
         self.INV = inv.astype(dt)
+        # Float64 tables for the BLAS product (linalg._matmul_arr), which
+        # works on base-p digits, i.e. in the polynomial basis 1, x, .., x^(k-1).
+        # DIGITS[t, v] is digit t of v; FOLD[t, s] holds the digits of
+        # x^t x^s mod the modulus (x^t is encoded p^t); PLACE[t] = p^t.
+        digits = np.array([self.coeffs(v) for v in range(q)], dtype=np.float64).T
+        fold = np.array(
+            [[self.coeffs(int(mul[p**t, p**s])) for s in range(k)] for t in range(k)],
+            dtype=np.float64,
+        )
+        place = np.array([p**t for t in range(k)], dtype=np.float64)
+        for name, table in (("DIGITS", digits), ("FOLD", fold), ("PLACE", place)):
+            table = np.ascontiguousarray(table)
+            table.flags.writeable = False
+            setattr(self, name, table)
 
     # scalar arithmetic on raw encodings
 

@@ -1,10 +1,12 @@
 """Exact dense matrix and subspace arithmetic over a FieldCtx.
 
 Everything downstream (spinning, hom spaces, radicals, idempotents) reduces
-to the kernels here.  Matrices hold raw element encodings in numpy arrays;
-row operations are whole-row table lookups, XOR in characteristic 2, so the
-60x60 work for kA5 stays far below the one-minute acceptance budget.
-Canonical RREF everywhere makes subspace equality plain array equality.
+to the kernels here.  Matrices hold raw element encodings in numpy arrays.
+Products go through one exact float64 BLAS call for every field, in the
+polynomial basis that the encodings' base-p digits already are
+(_matmul_arr).  Elimination works on whole rows: XOR in characteristic 2
+(AND for the GF(2) scalings), table lookups otherwise.  Canonical RREF
+everywhere makes subspace equality plain array equality.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ def _as_val(ctx: FieldCtx, x) -> int:
 
 
 def _mul_outer(ctx: FieldCtx, col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    if ctx.order == 2:
+        return col[:, None] & row[None, :]  # GF(2) multiplication is AND
     return ctx.MUL[col[:, None], row[None, :]]
 
 
@@ -44,18 +48,37 @@ def _sub_arr(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _matmul_arr(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b over GF(p^k) as one exact float64 BLAS product.
+
+    An encoding's base-p digits are its coordinates in the polynomial basis
+    1, x, .., x^(k-1) (see fieldcore).  With a = sum_t a_t x^t and
+    b = sum_s b_s x^s, the k^2 slice products a_t b_s come from one BLAS
+    call: a's digit slices stacked by rows, b's interleaved by columns.
+    Folding by FOLD[t, s] = x^(t+s) mod the modulus gives the k digit
+    planes of a b, which are reduced mod p and re-encoded.  Over GF(p)
+    this is fmod(a @ b, p).
+
+    Exactness: a slice product entry is at most n (p-1)^2 for inner
+    dimension n, and the fold sums k^2 of them times digits <= p-1, so every
+    float64 intermediate is an integer of at most k^2 (p-1)^3 n (and
+    (p-1)^2 n for k = 1).  For every field FieldCtx admits (order <= 4096)
+    that stays below 2^53 for any n under 5 * 10^8.
+    """
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul {a.shape} x {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=ctx.dtype)
-    if ctx.degree == 1:
-        return ((a.astype(np.int64) @ b.astype(np.int64)) % ctx.char).astype(ctx.dtype)
-    if ctx.char == 2:
-        return np.bitwise_xor.reduce(ctx.MUL[a[:, :, None], b[None, :, :]], axis=1)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=ctx.dtype)
-    for k in range(a.shape[1]):
-        out = ctx.ADD[out, _mul_outer(ctx, a[:, k], b[k, :])]
-    return out
+    m, n = a.shape[0], b.shape[1]
+    if m == 0 or n == 0 or a.shape[1] == 0:
+        return np.zeros((m, n), dtype=ctx.dtype)
+    p, k = ctx.char, ctx.degree
+    if k == 1:
+        c = a.astype(np.float64) @ b.astype(np.float64)
+        return np.fmod(c, p, out=c).astype(ctx.dtype)
+    da = np.take(ctx.DIGITS, a, axis=1).reshape(k * m, -1)  # row block t is a_t
+    db = np.take(ctx.DIGITS.T, b, axis=0).reshape(b.shape[0], n * k)  # column (l, s): b_s[:, l]
+    prod = (da @ db).reshape(k, m * n, k)  # [t, (i, l), s] = (a_t b_s)[i, l]
+    c = np.matmul(prod, ctx.FOLD).sum(axis=0)  # [(i, l), r]: digit r of (a b)[i, l]
+    np.fmod(c, p, out=c)
+    return (c @ ctx.PLACE).reshape(m, n).astype(ctx.dtype)
 
 
 def _rref_arr(ctx: FieldCtx, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:

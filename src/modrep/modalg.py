@@ -56,12 +56,15 @@ def _rng(seed: SeedLike) -> np.random.Generator:
 
 
 class GroupAlgebra:
-    """kG: the group as a basis, with multiplication by table convolution."""
+    """kG: the group as a basis, with multiplication by convolution through the group table."""
 
     def __init__(self, group: GroupTable, field: FieldCtx):
         self.group = group
         self.field = field
         self.dim = group.order
+        # _right_index[h, x] is the index of x h^-1; a[_right_index] is the
+        # matrix by which b -> a b acts on rows (see conv)
+        self._right_index = np.ascontiguousarray(group.mult[:, group.inv].T)
         self._regular: Optional[weakref.ref] = None  # see regular_module
 
     def zero(self) -> "AlgebraElem":
@@ -89,13 +92,12 @@ class GroupAlgebra:
         """Coefficients of the product a b: out[..., gh] += a[g] b[..., h].
 
         b is one coefficient vector or a stack of them (one product per row).
+        Since out[..., x] = sum_h a[x h^-1] b[..., h], the product is
+        b R_a with R_a[h, x] = a[x h^-1]: one gather through the index table,
+        then one matmul.
         """
-        k = self.field
-        out = np.zeros(b.shape, dtype=k.dtype)
-        for g in np.nonzero(a)[0]:
-            row = self.group.mult[int(g)]
-            out[..., row] = _add_arr(k, out[..., row], k.MUL[int(a[g])][b])
-        return out
+        rows = b.reshape(-1, self.dim)
+        return _matmul_arr(self.field, rows, np.take(a, self._right_index)).reshape(b.shape)
 
     def __eq__(self, other) -> bool:
         return (
@@ -306,6 +308,12 @@ class _RegularModule(Module):
             cached = self._mats[i] = _regular_mat(self.algebra, i)
         return cached
 
+    def action_of(self, elem: AlgebraElem) -> Mat:
+        """rho(e) = conv(e, 1)^T, column x being e x: one gather, no element matrix."""
+        if elem.algebra != self.algebra:
+            raise AlgebraMismatch("element of a different algebra")
+        return Mat(self.algebra.field, np.take(elem.coeffs, self.algebra._right_index.T))
+
 
 def regular_module(a: GroupAlgebra) -> Module:
     """kG acting on itself by left multiplication (permutation matrices).
@@ -377,8 +385,10 @@ def module_from_json(a: GroupAlgebra, text_or_obj) -> Module:
 def _spin_arrays(k: FieldCtx, gens: Sequence[np.ndarray], seeds: np.ndarray, dim: int) -> Subspace:
     space = Subspace.from_vectors(k, dim, seeds)
     frontier = space.basis.a
+    wide = np.hstack([g.T for g in gens]) if gens else None  # block j is g_j^T
     while gens and frontier.size and space.dim < dim:
-        batch = space.reduce_rows(np.vstack([_matmul_arr(k, frontier, g.T.copy()) for g in gens]))
+        # row (i, j) is frontier_i g_j^T; the order of rows does not change their span
+        batch = space.reduce_rows(_matmul_arr(k, frontier, wide).reshape(-1, dim))
         batch = batch[batch.any(axis=1)]
         if batch.size == 0:
             break
@@ -775,12 +785,14 @@ def _rad_actions(m: Module, rad_a: Subspace) -> list[np.ndarray]:
 def _descending_chain(k: FieldCtx, dim: int, rho: Sequence[np.ndarray]) -> list[Subspace]:
     """[V, VJ, VJ^2, ..., 0] for V = k^dim as rows and J = span(rho) acting on the right."""
     out = [Subspace.full(k, dim)]
+    wide = np.hstack(rho) if rho else None  # block j is rho_j
     while out[-1].dim > 0:
         cur = out[-1]
         if not rho:
             out.append(Subspace.zero(k, dim))
             break
-        nxt = Subspace(k, dim, Mat(k, np.vstack([_matmul_arr(k, cur.basis.a, r) for r in rho])))
+        # row (i, j) is cur_i rho_j; the order of rows does not change their span
+        nxt = Subspace(k, dim, Mat(k, _matmul_arr(k, cur.basis.a, wide).reshape(-1, dim)))
         out.append(nxt)
         if nxt.dim == cur.dim:
             raise NotInvariant("radical chain failed to descend; rad_a is not nilpotent")

@@ -528,3 +528,41 @@ def test_cartan_column_identity():
         for j in range(len(s.simples)):
             col = sum(c[i][j] * s.simples[i].dim for i in range(len(s.simples)))
             assert col == pims.pim_for_simple(j).dim
+
+
+def _int_det(rows):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    from fractions import Fraction
+
+    m = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(m), Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return int(det)
+
+
+def test_a6_over_gf4_golden():
+    # A6 = <(1,2,3), (2,3,4,5,6)>; Brauer degrees mod 2 are 1, 4, 4, 8, 8 (Jansen,
+    # Lux, Parker, Wilson, An Atlas of Brauer Characters); det C is the product of
+    # the 2-parts of |C_G(x)| over the 2-regular classes 1, 3A, 3B, 5A, 5B:
+    # 8 * 1 * 1 * 1 * 1 = 8
+    g = group_from_json({"degree": 6, "generators": ["(1,2,3)", "(2,3,4,5,6)"]})
+    an = analyze_algebra(g, GF4, seed=0)
+    assert an.report.all_passed
+    simples = [m.dim for m in an.simples.simples]
+    pims = [an.pims.pim_for_simple(i).dim for i in range(len(simples))]
+    assert simples == [1, 4, 4, 8, 8]
+    assert pims == [40, 24, 24, 8, 8]
+    assert sum(s * p for s, p in zip(simples, pims)) == 360
+    c = an.cartan.entries
+    assert _int_det(c) == 8
+    assert c == [list(row) for row in zip(*c)]
