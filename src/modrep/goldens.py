@@ -103,7 +103,7 @@ class Workbench:
                 twodims.append(i)
         for i in twodims:
             res = restrict_module(a5.simples.simples[i], a4.algebra.group)
-            data = radical_and_socle_series(res, a4.radical, a4.simples.simples)
+            data = radical_and_socle_series(res, a4.radical, a4.pims.heads)
             head = data.radical_layers[0].mults
             if head[tmap["T2"]]:
                 out["S2"] = i
@@ -189,7 +189,7 @@ def check_cyclic(wb: Workbench) -> list[CheckResult]:
         dims = rep.loewy.layer_dims()
         triv = an.simples.trivial_index()
         all_trivial = all(
-            layer.mults[triv] * 1 == layer.module.dim for layer in rep.loewy.radical_layers
+            layer.mults[triv] * 1 == layer.dim for layer in rep.loewy.radical_layers
         )
         out.append(
             CheckResult(
@@ -438,10 +438,10 @@ def check_induction_restriction(wb: Workbench) -> list[CheckResult]:
     t2_ind = induce_module(ts["T2"], a5.algebra)
     t3_ind = induce_module(ts["T3"], a5.algebra)
     sig_t2 = _layer_signature(
-        radical_and_socle_series(t2_ind, a5.radical, a5.simples.simples), smap
+        radical_and_socle_series(t2_ind, a5.radical, a5.pims.heads), smap
     )
     sig_t3 = _layer_signature(
-        radical_and_socle_series(t3_ind, a5.radical, a5.simples.simples), smap
+        radical_and_socle_series(t3_ind, a5.radical, a5.pims.heads), smap
     )
     out.append(
         CheckResult(
@@ -468,7 +468,7 @@ def check_induction_restriction(wb: Workbench) -> list[CheckResult]:
 
     s2_res = restrict_module(ss["S2"], a4.algebra.group)
     sig = _layer_signature(
-        radical_and_socle_series(s2_res, a4.radical, a4.simples.simples), tmap
+        radical_and_socle_series(s2_res, a4.radical, a4.pims.heads), tmap
     )
     out.append(
         CheckResult(
@@ -486,13 +486,11 @@ def check_induction_restriction(wb: Workbench) -> list[CheckResult]:
         )
     )
     s4_res = restrict_module(ss["S4"], a4.algebra.group)
-    head = radical_and_socle_series(
-        s4_res, a4.radical, a4.simples.simples
-    ).radical_layers[0]
+    head = radical_and_socle_series(s4_res, a4.radical, a4.pims.heads).radical_layers[0]
     out.append(
         CheckResult(
             "restriction.s4_to_a4_head_is_trivial",
-            head.module.dim == 1 and head.mults[tmap["T1"]] == 1,
+            head.dim == 1 and head.mults[tmap["T1"]] == 1,
             f"head mults {head.mults}",
         )
     )

@@ -253,10 +253,6 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
     return Mat(ctx, x)
 
 
-def field_kron(a: Mat, b: Mat) -> Mat:
-    return Mat(a.ctx, _kron_arr(a.ctx, a.a, b.a))
-
-
 # -------------------------------------------------------------- Subspace --
 
 
@@ -301,29 +297,20 @@ class Subspace:
     def pivots(self) -> list[int]:
         return [int(np.nonzero(row)[0][0]) for row in self.basis.a]
 
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Canonical residual of vec modulo this subspace."""
-        ctx = self.ctx
-        v = np.asarray(vec, dtype=ctx.dtype).copy()
-        for row, p in zip(self.basis.a, self.pivots()):
-            c = int(v[p])
-            if c:
-                v = _sub_arr(ctx, v, ctx.MUL[c][row])
-        return v
-
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
-        """Residuals of several vectors (rows of mat) at once."""
+        """Residuals of several vectors (rows of mat) at once.
+
+        Every basis row is zero on the other rows' pivots (RREF), so
+        subtracting basis rows never changes a row's coefficient on a pivot:
+        the residual is mat - mat[:, pivots] B, one product.
+        """
         ctx = self.ctx
-        m = np.asarray(mat, dtype=ctx.dtype).copy()
-        for row, p in zip(self.basis.a, self.pivots()):
-            c = m[:, p].copy()
-            if c.any():
-                m = _sub_arr(ctx, m, _mul_outer(ctx, c, row))
-        return m
+        m = np.asarray(mat, dtype=ctx.dtype)
+        return _sub_arr(ctx, m, _matmul_arr(ctx, m[:, self.pivots()], self.basis.a))
 
     def contains(self, vec) -> bool:
         v = np.array([_as_val(self.ctx, x) for x in vec], dtype=self.ctx.dtype)
-        return not self.reduce(v).any()
+        return not self.reduce_rows(v[None, :]).any()
 
     def contains_space(self, other: "Subspace") -> bool:
         return not self.reduce_rows(other.basis.a).any()

@@ -28,6 +28,7 @@ from .errors import (
     AlgebraMismatch,
     ChopInstability,
     DimensionMismatch,
+    NoConvergence,
     NoQuotientRecorded,
     NotInvariant,
     NotSubgroup,
@@ -41,6 +42,7 @@ from .linalg import (
     _kron_arr,
     _matmul_arr,
     _nullspace_arr,
+    _rref_arr,
     _sub_arr,
 )
 from .permgroup import GroupTable, QuotientMap, Subgroup, cosets_and_quotient
@@ -738,9 +740,24 @@ def factor_multiset(m: Module, simples: Sequence[Module], seed: SeedLike = 0) ->
 # ---------------------------------------------------------- Loewy series --
 
 
+class RightIdeal(Subspace):
+    """A right ideal J = sum_i y_i A of kG carried with its generators y_i
+    (rows); a plain Subspace is generated by its own basis rows."""
+
+    __slots__ = ("_generators",)
+
+    def __init__(self, space: Subspace, generators: np.ndarray):
+        super().__init__(space.ctx, space.ambient, space.basis, _canonical=True)
+        self._generators = generators
+
+    @property
+    def generators(self) -> np.ndarray:
+        return self._generators
+
+
 @dataclass(frozen=True)
 class LoewyLayer:
-    module: Module  # semisimple layer
+    dim: int  # dimension of the semisimple layer
     mults: tuple[int, ...]  # multiplicity of each reference simple
 
 
@@ -754,7 +771,7 @@ class LoewyData:
         return len(self.radical_layers)
 
     def layer_dims(self) -> list[int]:
-        return [layer.module.dim for layer in self.radical_layers]
+        return [layer.dim for layer in self.radical_layers]
 
 
 def section_module(m: Module, outer: Subspace, inner: Subspace) -> Module:
@@ -769,79 +786,77 @@ def section_module(m: Module, outer: Subspace, inner: Subspace) -> Module:
     return layer
 
 
-def _semisimple_mults(layer: Module, simples: Sequence[Module]) -> tuple[int, ...]:
-    return tuple(hom_dim(s, layer) for s in simples)
+def _rad_generators(a: GroupAlgebra, rad_a: Subspace) -> np.ndarray:
+    """Rows y_i with rad_a = sum_i y_i A (see RightIdeal)."""
+    if rad_a.ambient != a.dim:
+        raise DimensionMismatch(f"radical in k^{rad_a.ambient}, algebra of dimension {a.dim}")
+    return rad_a.generators if isinstance(rad_a, RightIdeal) else rad_a.basis.a
 
 
-def _rad_actions(m: Module, rad_a: Subspace) -> list[np.ndarray]:
-    """rho_U(y) for each basis row y of rad A."""
-    if rad_a.ambient != m.algebra.dim:
-        raise DimensionMismatch(
-            f"radical lives in k^{rad_a.ambient}, algebra has dimension {m.algebra.dim}"
-        )
-    return [m.action_of(AlgebraElem(m.algebra, row)).a for row in rad_a.basis.a]
-
-
-def _descending_chain(k: FieldCtx, dim: int, rho: Sequence[np.ndarray]) -> list[Subspace]:
-    """[V, VJ, VJ^2, ..., 0] for V = k^dim as rows and J = span(rho) acting on the right."""
-    out = [Subspace.full(k, dim)]
-    wide = np.hstack(rho) if rho else None  # block j is rho_j
+def _descending_chain(k: FieldCtx, start: Subspace, rho: Sequence[np.ndarray]) -> list[Subspace]:
+    """[V, VJ, VJ^2, ..., 0] for the rows V = start and J = span(rho) acting on the right,
+    one product per rho_j (one with hstack(rho) holds len(rho) times the temporaries)."""
+    out = [start]
     while out[-1].dim > 0:
         cur = out[-1]
-        if not rho:
-            out.append(Subspace.zero(k, dim))
-            break
-        # row (i, j) is cur_i rho_j; the order of rows does not change their span
-        nxt = Subspace(k, dim, Mat(k, _matmul_arr(k, cur.basis.a, wide).reshape(-1, dim)))
+        rows = [_matmul_arr(k, cur.basis.a, r) for r in rho] or [cur.basis.a[:0]]  # J = 0
+        nxt = Subspace(k, start.ambient, Mat(k, np.vstack(rows)))
         out.append(nxt)
-        if nxt.dim == cur.dim:
-            raise NotInvariant("radical chain failed to descend; rad_a is not nilpotent")
+        if nxt.dim >= cur.dim:
+            raise NoConvergence("chain failed to descend; the ideal is not nilpotent")
     return out
 
 
 def radical_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
-    """Descending chain [U, rad U, rad^2 U, ..., 0] via rad U = radA.U."""
-    return _descending_chain(m.algebra.field, m.dim, [r.T.copy() for r in _rad_actions(m, rad_a)])
+    """Descending chain [U, rad U, rad^2 U, ..., 0], rad U = sum_i y_i U for
+    the right-ideal generators y_i of rad A (rad A = sum_i y_i A, AU = U)."""
+    k = m.algebra.field
+    rho = [m.action_of(AlgebraElem(m.algebra, y)).a.T for y in _rad_generators(m.algebra, rad_a)]
+    return _descending_chain(k, Subspace.full(k, m.dim), rho)
 
 
 def socle_chain(m: Module, rad_a: Subspace) -> list[Subspace]:
     """Ascending chain [0, soc U, soc^2 U, ..., U] as soc^i U = (rad^i U*)^perp.
 
     The pairing of U* with U is G-invariant, so u is killed by (rad A)^i
-    exactly when it is orthogonal to (rad A)^i U*.  y acts on U* by
-    rho_U(y^)^T, y^ the image of y under the antipode g -> g^-1, and rad A
-    is closed under the antipode, so rad A acts on U* (rows) through the
-    rho_U(y), y in rad A: U* itself is never built.
+    exactly when it is orthogonal to (rad A)^i U*.  The y_i generate rad A
+    as a right ideal, so rad U* = sum_i y_i U*, and y acts on U* (rows) by
+    rho_U(y^)^T, y^ the image of y under the antipode g -> g^-1: U* itself
+    is never built.
     """
     k = m.algebra.field
+    ys = _rad_generators(m.algebra, rad_a)[:, m.algebra.group.inv]  # y^[g] = y[g^-1]
+    rho = [m.action_of(AlgebraElem(m.algebra, y)).a for y in ys]
     return [
         Subspace(k, m.dim, Mat(k, _nullspace_arr(k, r.basis.a)))
-        for r in _descending_chain(k, m.dim, _rad_actions(m, rad_a))
+        for r in _descending_chain(k, Subspace.full(k, m.dim), rho)
     ]
 
 
-def radical_and_socle_series(m: Module, rad_a: Subspace, simples: Sequence[Module]) -> LoewyData:
-    """Loewy data from rad U = radA.U and soc U = {u | radA.u = 0}.
+def radical_and_socle_series(
+    m: Module, rad_a: Subspace, heads: Sequence[AlgebraElem]
+) -> LoewyData:
+    """Loewy layers of the radical and socle chains, multiplicities by rank.
 
-    The reference simples must be absolutely simple (End(S) = k), so that
-    the multiplicity of S in a semisimple layer L is dim Hom(S, L).
+    heads holds one primitive idempotent f_i per simple S_i (A f_i its
+    projective cover) over a splitting field, so Hom_A(A f_i, V) = f_i V
+    gives [V : S_i] = dim f_i V.  V -> f_i V is exact, so a layer
+    outer/inner holds S_i dim f_i outer - dim f_i inner times.
     """
     k = m.algebra.field
-    rho = _rad_actions(m, rad_a)  # one action_of list for both chains
-    rads = _descending_chain(k, m.dim, [r.T.copy() for r in rho])
-    socs = [
-        Subspace(k, m.dim, Mat(k, _nullspace_arr(k, r.basis.a)))
-        for r in _descending_chain(k, m.dim, rho)
-    ]
-    rad_layers = []
-    for i in range(len(rads) - 1):
-        layer = section_module(m, rads[i], rads[i + 1])
-        rad_layers.append(LoewyLayer(layer, _semisimple_mults(layer, simples)))
-    soc_layers = []
-    for i in range(len(socs) - 1):
-        layer = section_module(m, socs[i + 1], socs[i])
-        soc_layers.append(LoewyLayer(layer, _semisimple_mults(layer, simples)))
-    return LoewyData(tuple(rad_layers), tuple(soc_layers))
+    rads, socs = radical_chain(m, rad_a), socle_chain(m, rad_a)
+    wide = np.hstack([m.action_of(f).a.T for f in heads])  # block i is rho_U(f_i)^T
+
+    def layers(chain: list[Subspace]) -> tuple[LoewyLayer, ...]:
+        """chain[j] / chain[j + 1] for a descending chain; dim f_i V is the rank of V f_i."""
+        blocks = [np.hsplit(_matmul_arr(k, v.basis.a, wide), len(heads)) for v in chain]
+        fdims = [np.array([_rref_arr(k, b)[1] for b in bs]) for bs in blocks]
+        return tuple(
+            LoewyLayer(chain[j].dim - chain[j + 1].dim, tuple((fdims[j] - fdims[j + 1]).tolist()))
+            for j in range(len(chain) - 1)
+        )
+
+    return LoewyData(layers(rads), layers(socs[::-1])[::-1])
 
 
 # -------------------------------------------------------- change of group --

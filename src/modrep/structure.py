@@ -32,7 +32,10 @@ from .modalg import (
     GroupAlgebra,
     LoewyData,
     Module,
+    RightIdeal,
     SeedLike,
+    _descending_chain,
+    _rad_generators,
     _rng,
     _simples_isomorphic,
     chop,
@@ -111,26 +114,36 @@ def _wedderburn_map(a: GroupAlgebra, s: SimpleSet) -> np.ndarray:
     ])
 
 
-def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> Subspace:
+def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> RightIdeal:
     """rad A as the joint annihilator {x : x.S = 0 for every simple S}.
 
     Certified complete two ways: dim rad = |G| - sum (dim S)^2 / dim End(S)
     (the Wedderburn count; catches duplicated or bogus entries) and
     nilpotency of the annihilator (a missing simple leaves an idempotent in
-    it, so the power chain would never reach zero).
+    it, so the power chain would never reach zero).  rad carries right-ideal
+    generators y_i, rad = sum_i y_i A, for that check and every radical and
+    socle chain: rad's RREF rows in order, each kept unless in the y_j A.
     """
     k = a.field
     n = a.dim
-    rad = Subspace(k, n, Mat(k, _nullspace_arr(k, _wedderburn_map(a, s))))
+    space = Subspace(k, n, Mat(k, _nullspace_arr(k, _wedderburn_map(a, s))))
     expected = n - sum(
         (m.dim * m.dim) // e for m, e in zip(s.simples, s.endo_dims)
     )
     if any((m.dim * m.dim) % e for m, e in zip(s.simples, s.endo_dims)):
         raise IncompleteSimpleSet("endomorphism dimension does not divide (dim S)^2")
-    if rad.dim != expected:
+    if space.dim != expected:
         raise IncompleteSimpleSet(
-            f"dim rad = {rad.dim} but the dimension identity gives {expected}"
+            f"dim rad = {space.dim} but the dimension identity gives {expected}"
         )
+    gens, span = [], Subspace.zero(k, n)
+    for y in space.basis.a:
+        if span.dim == space.dim:
+            break
+        if span.reduce_rows(y[None, :]).any():
+            gens.append(y)
+            span = Subspace(k, n, Mat(k, np.vstack([span.basis.a, np.take(y, a._right_index)])))
+    rad = RightIdeal(space, np.array(gens, dtype=k.dtype).reshape(-1, n))
     try:
         _ideal_nilpotency_index(a, rad)
     except NoConvergence:
@@ -141,37 +154,15 @@ def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> Subspace:
 
 
 def _ideal_nilpotency_index(a: GroupAlgebra, rad: Subspace) -> int:
-    """Least m with rad^m = 0 for a two-sided ideal rad.
+    """Least m with rad^m = 0 for a two-sided ideal rad = sum_i y_i A.
 
-    Picks right-ideal generators y_i (rad = sum y_i A), walking rad's RREF
-    rows in order and keeping each row not yet in the span of the y_j g.
-    Since A rad^(m-1) = rad^(m-1), rad^m = sum_i y_i rad^(m-1), so each
-    power costs one convolution per generator.  A power that fails to
-    shrink while nonzero proves rad is not nilpotent.
+    Since A rad^(m-1) = rad^(m-1), rad^m = sum_i y_i rad^(m-1), and y x is
+    x R_y (see GroupAlgebra.conv), so m is the length of the descending
+    chain [rad, rad^2, ..., 0], one product per power.  A power that fails
+    to shrink while nonzero proves rad is not nilpotent (NoConvergence).
     """
-    k = a.field
-    if rad.dim == 0:
-        return 1
-    eye = np.eye(a.dim, dtype=k.dtype)
-    gens: list[np.ndarray] = []
-    span = Subspace.zero(k, a.dim)
-    for y in rad.basis.a:
-        if span.dim == rad.dim:
-            break
-        if span.contains(y):
-            continue
-        gens.append(y)
-        span = Subspace(k, a.dim, Mat(k, np.vstack([span.basis.a, a.conv(y, eye)])))
-    current = rad
-    m = 1
-    while current.dim > 0:
-        products = np.vstack([a.conv(y, current.basis.a) for y in gens])
-        nxt = Subspace(k, a.dim, Mat(k, products))
-        if nxt.dim >= current.dim:
-            raise NoConvergence("ideal power chain stopped short of zero")
-        current = nxt
-        m += 1
-    return m
+    rho = [np.take(y, a._right_index) for y in _rad_generators(a, rad)]
+    return len(_descending_chain(a.field, rad, rho))
 
 
 def lift_idempotent(a: GroupAlgebra, e_bar: AlgebraElem, rad: Subspace) -> AlgebraElem:
@@ -211,6 +202,11 @@ class PimSet:
 
     def pim_for_simple(self, i: int) -> Module:
         return self.pims[self.representative[i]]
+
+    @property
+    def heads(self) -> list[AlgebraElem]:
+        """One idempotent per simple S_i: f_i with A f_i = P_i, the cover of S_i."""
+        return [self.idempotents[j] for j in self.representative]
 
     def multiplicities(self, nsimples: int) -> list[int]:
         out = [0] * nsimples
@@ -312,8 +308,7 @@ def cartan_both(
     rng = _rng(seed)
     n = len(s.simples)
     reps = [pims.pim_for_simple(i) for i in range(n)]
-    heads = [pims.idempotents[pims.representative[i]] for i in range(n)]
-    via_hom = [[reps[j].action_of(heads[i]).rank() for j in range(n)] for i in range(n)]
+    via_hom = [[reps[j].action_of(f).rank() for j in range(n)] for f in pims.heads]
     via_chop = [[0] * n for _ in range(n)]
     for j in range(n):
         counts = factor_multiset(reps[j], s.simples, rng)
@@ -378,18 +373,20 @@ def pim_structure_report(
     (P_i)* is projective indecomposable (a summand of (kG)*, which is
     isomorphic to kG) and a PIM is fixed by its head, so (P_i)* is
     isomorphic to P_j exactly when the dimensions agree and Hom((P_i)*, S_j)
-    is nonzero: a Hom into a simple, not between PIMs.  The simples are
-    absolutely simple here (PIMs exist only over splitting fields), so every
-    layer multiplicity is a Hom dimension.  Dual simples are matched by
-    Schur's lemma.  Certificate failures are reported in the dataclass,
+    is nonzero: a Hom into a simple, not between PIMs.  The field splits
+    here (PIMs exist only over splitting fields), so a layer's multiplicity
+    of S_j is the rank difference of the head idempotent f_j on the two
+    chain terms around it (see radical_and_socle_series).  Dual simples are
+    matched by Schur's lemma.  Certificate failures are reported in the dataclass,
     never raised.
     """
     n = len(s.simples)
     gp = _p_part(a.group.order, a.field.char)
+    heads = pims.heads
     reports = []
     for i in range(n):
         pim = pims.pim_for_simple(i)
-        data = radical_and_socle_series(pim, rad, s.simples)
+        data = radical_and_socle_series(pim, rad, heads)
         head = _unique_simple_of_layer(data.radical_layers[0].mults)
         socle = _unique_simple_of_layer(data.socle_layers[0].mults)
         head_iso_socle = head is not None and head == socle

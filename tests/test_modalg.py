@@ -43,6 +43,7 @@ from modrep.permgroup import (
     normal_p_core,
     parse_cycles,
 )
+from modrep.report import analyze_algebra
 
 GF2 = field_make(2, 1)
 GF4 = field_make(2, 2)
@@ -451,22 +452,24 @@ def test_dual_swaps_t2_t3():
 def test_radical_series_regular_klein():
     v4alg = GroupAlgebra(builtin("V4"), GF2)
     reg = regular_module(v4alg)
-    triv = trivial_module(v4alg)
     # radical of kV4 = augmentation ideal, dim 3 (independent hand basis)
     rad = Subspace.from_vectors(GF2, 4, [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
-    data = radical_and_socle_series(reg, rad, [triv])
+    # kV4 is local: 1 is the one primitive idempotent, the head of the trivial
+    data = radical_and_socle_series(reg, rad, [v4alg.one()])
     assert data.layer_dims() == [1, 2, 1]
     assert [l.mults for l in data.radical_layers] == [(1,), (2,), (1,)]
-    assert [l.module.dim for l in data.socle_layers] == [1, 2, 1]
+    assert [l.dim for l in data.socle_layers] == [1, 2, 1]
 
 
 def test_radical_series_semisimple_single_layer():
     m = a5_s2_module()
+    an = analyze_algebra(A5, GF4, 0)
+    j = next(j for j, s in enumerate(an.simples.simples) if modules_isomorphic(m, s, 0))
     rad = Subspace.zero(GF4, 60)
-    data = radical_and_socle_series(m, rad, [m])
+    data = radical_and_socle_series(m, rad, [an.pims.heads[j]])
     assert data.loewy_length == 1
     assert data.radical_layers[0].mults == (1,)
-    assert data.socle_layers[0].module.dim == 2
+    assert data.socle_layers[0].dim == 2
 
 
 def test_layer_dimension_identity():
@@ -474,9 +477,9 @@ def test_layer_dimension_identity():
     reg = regular_module(v4alg)
     triv = trivial_module(v4alg)
     rad = Subspace.from_vectors(GF2, 4, [[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
-    data = radical_and_socle_series(reg, rad, [triv])
+    data = radical_and_socle_series(reg, rad, [v4alg.one()])
     for layer in data.radical_layers + data.socle_layers:
-        assert layer.module.dim == sum(m * s.dim for m, s in zip(layer.mults, [triv]))
+        assert layer.dim == sum(m * s.dim for m, s in zip(layer.mults, [triv]))
 
 
 def test_maschke_small():
