@@ -27,7 +27,7 @@ from .fieldcore import FieldCtx
 from .linalg import Mat, Subspace
 from .modalg import AlgebraElem, GroupAlgebra, Module, sub_quotient
 from .permgroup import ConjClass, Subgroup, conjugacy_data
-from .structure import CartanMatrix, PimSet
+from .structure import CartanMatrix, PimSet, _orthogonal_idempotents
 
 
 @dataclass
@@ -119,15 +119,8 @@ def block_partition(
     for e in idems:
         if not e.is_central():
             raise NonCentralSum("linkage sum fails to commute with a generator")
-    total = a.zero()
-    for e in idems:
-        total = total + e
-    if total != a.one():
-        raise NonCentralSum("block idempotents do not sum to 1")
-    for i in range(len(idems)):
-        for j in range(len(idems)):
-            if i != j and not (idems[i] * idems[j]).is_zero():
-                raise NonCentralSum("block idempotents are not orthogonal")
+    if not _orthogonal_idempotents(a, idems):
+        raise NonCentralSum("block idempotents are not orthogonal idempotents summing to 1")
 
     classes, _ = conjugacy_data(a.group, a.field.char)
     omegas = [_central_character(m, classes) for m in simples]

@@ -565,10 +565,6 @@ def _berlekamp_squarefree(f: Poly) -> list[Poly]:
     return [g.monic() for g in factors]
 
 
-def _roots(f: Poly) -> list[int]:
-    return [a for a in range(f.ctx.order) if f.eval(a) == 0]
-
-
 def _squarefree_parts(g: Poly, power: int, out: list[tuple[Poly, int]]) -> None:
     """Append (squarefree piece, multiplicity) pairs of g, scaled by power."""
     if g.degree <= 0:
@@ -606,43 +602,13 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     k = f.ctx
-    work = f.monic()
+    # char-p squarefree decomposition; Berlekamp splits each piece
+    pieces: list[tuple[Poly, int]] = []
+    _squarefree_parts(f.monic(), 1, pieces)
     found: dict[tuple, int] = {}
-
-    def record(g: Poly, mult: int) -> None:
-        key = g.coeffs
-        found[key] = found.get(key, 0) + mult
-
-    def split_squarefree(g: Poly, mult: int) -> None:
-        if g.degree == 0:
-            return
-        if g.degree == 1:
-            record(g, mult)
-            return
-        # root search shortcut covers everything the desk-scale callers see
-        if g.degree <= 4:
-            rem = g
-            for a in _roots(g):
-                lin = Poly(k, [k.neg(a), 1])
-                while True:
-                    quo, r = rem.divmod(lin)
-                    if r.is_zero():
-                        record(lin, mult)
-                        rem = quo
-                    else:
-                        break
-            if rem.degree > 0:
-                for irr in _berlekamp_squarefree(rem):
-                    record(irr, mult)
-            return
-        for irr in _berlekamp_squarefree(g):
-            record(irr, mult)
-
-    # char-p squarefree decomposition; each piece then goes to Berlekamp
-    work_sf: list[tuple[Poly, int]] = []
-    _squarefree_parts(work, 1, work_sf)
-    for piece, mult in work_sf:
-        split_squarefree(piece, mult)
+    for piece, mult in pieces:
+        for irr in _berlekamp_squarefree(piece):
+            found[irr.coeffs] = found.get(irr.coeffs, 0) + mult
 
     result = [(Poly(k, c), m) for c, m in found.items()]
     result.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))

@@ -574,8 +574,7 @@ def _block_order_invariance(an: Analysis, name: str) -> CheckResult:
     pims2 = PimSet(
         idempotents=an.pims.idempotents,
         assignment=[inv[s] for s in an.pims.assignment],
-        pims=an.pims.pims,
-        representative=[an.pims.representative[perm[i]] for i in range(n)],
+        pims=[an.pims.pims[perm[i]] for i in range(n)],
     )
     simples2 = [an.simples.simples[perm[i]] for i in range(n)]
     bp2 = block_partition(cart2, pims2, simples2, inv[an.simples.trivial_index()])

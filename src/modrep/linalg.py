@@ -111,13 +111,12 @@ def _rref_arr(ctx: FieldCtx, m: np.ndarray) -> tuple[np.ndarray, int, list[int]]
 def _nullspace_arr(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
     """Canonical basis (as rows) of {v : m v = 0}."""
     r, rank, pivots = _rref_arr(ctx, m)
-    cols = m.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=ctx.dtype)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[i, pc] = ctx.NEG[r[row_idx, fc]]
+    is_free = np.ones(m.shape[1], dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((free.size, m.shape[1]), dtype=ctx.dtype)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = ctx.NEG[r[:rank][:, free]].T
     return basis
 
 
@@ -244,12 +243,10 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
     ctx = a.ctx
     aug = np.hstack([a.a, b.a])
     r, rank, pivots = _rref_arr(ctx, aug)
-    for row_idx in range(rank):
-        if pivots[row_idx] >= a.cols:
-            return None  # pivot in the augmented block: inconsistent
+    if rank and pivots[-1] >= a.cols:
+        return None  # pivot in the augmented block: inconsistent
     x = np.zeros((a.cols, b.cols), dtype=ctx.dtype)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx, a.cols :]
+    x[pivots] = r[:rank, a.cols :]
     return Mat(ctx, x)
 
 
@@ -294,8 +291,11 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def pivots(self) -> list[int]:
-        return [int(np.nonzero(row)[0][0]) for row in self.basis.a]
+    def pivots(self) -> np.ndarray:
+        """Pivot column of each basis row: its first nonzero entry."""
+        if self.ambient == 0:
+            return np.zeros(0, dtype=np.intp)  # argmax over zero columns raises
+        return (self.basis.a != 0).argmax(axis=1)
 
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
         """Residuals of several vectors (rows of mat) at once.

@@ -6,9 +6,10 @@ appeared, classes told apart by Schur's lemma, count certified against the
 p-regular class count), Jacobson radical
 (kernel of the Wedderburn map phi: x -> (rho_S(x))_S, i.e. the annihilator
 of the simples), primitive orthogonal idempotents (split the identity in
-A/rad by one solve of phi(x) = E_jj, lift, re-orthogonalize), PIMs (spun
-left ideals), Cartan matrix (computed twice, by the ranks of the idempotents
-on the PIMs and by chopping each PIM, and compared entrywise).
+A/rad by one solve of phi(x) = E_jj, lift, re-orthogonalize), PIMs (one
+spun left ideal per simple), Cartan matrix (computed twice, by the ranks of
+the idempotents on the PIMs and by chopping each PIM, and compared
+entrywise).
 """
 
 from __future__ import annotations
@@ -179,12 +180,13 @@ def lift_idempotent(a: GroupAlgebra, e_bar: AlgebraElem, rad: Subspace) -> Algeb
     three = a.field.scalar_from_int(3)
     two = a.field.scalar_from_int(2)
     f = e_bar
+    f2 = f * f
     for _ in range(iters):
-        f2 = f * f
-        f = f2.scale(three) - (f2 * f).scale(two)
-        if f.is_idempotent():
+        if f2 == f:
             break
-    if not f.is_idempotent():
+        f = f2.scale(three) - (f2 * f).scale(two)
+        f2 = f * f
+    if f2 != f:
         raise NoConvergence("lifting iteration did not reach an exact idempotent")
     if not rad.contains((f - e_bar).coeffs):
         raise NoConvergence("lift drifted away from e_bar modulo rad")
@@ -193,20 +195,23 @@ def lift_idempotent(a: GroupAlgebra, e_bar: AlgebraElem, rad: Subspace) -> Algeb
 
 @dataclass
 class PimSet:
-    """Primitive orthogonal idempotents with their spun projective covers."""
+    """Primitive orthogonal idempotents and one projective cover per simple.
+
+    Every idempotent f assigned to S_i spans a copy A f of the same PIM P_i,
+    so only the head idempotent of each simple (its first) is spun.
+    """
 
     idempotents: list[AlgebraElem]
     assignment: list[int]  # idempotent index -> simple index
-    pims: list[Module]  # one per idempotent, aligned
-    representative: list[int]  # simple index -> lowest idempotent index
+    pims: list[Module]  # simple index -> P_i = A f_i for its head idempotent f_i
 
     def pim_for_simple(self, i: int) -> Module:
-        return self.pims[self.representative[i]]
+        return self.pims[i]
 
     @property
     def heads(self) -> list[AlgebraElem]:
         """One idempotent per simple S_i: f_i with A f_i = P_i, the cover of S_i."""
-        return [self.idempotents[j] for j in self.representative]
+        return [self.idempotents[self.assignment.index(i)] for i in range(len(self.pims))]
 
     def multiplicities(self, nsimples: int) -> list[int]:
         out = [0] * nsimples
@@ -215,8 +220,27 @@ class PimSet:
         return out
 
 
+def _orthogonal_idempotents(a: GroupAlgebra, elems: Sequence[AlgebraElem]) -> bool:
+    """Whether elems are pairwise orthogonal idempotents summing to 1.
+
+    One product per f_i: row j of f_i F, F the stack of all elems, is
+    f_i f_j, which must be f_i for j = i and zero otherwise.
+    """
+    k = a.field
+    stack = np.array([f.coeffs for f in elems], dtype=k.dtype).reshape(-1, a.dim)
+    for i, f in enumerate(elems):
+        want = np.zeros_like(stack)
+        want[i] = f.coeffs
+        if not np.array_equal(a.conv(f.coeffs, stack), want):
+            return False
+    total = a.zero()
+    for f in elems:
+        total = total + f
+    return total == a.one()
+
+
 def primitive_decomposition(a: GroupAlgebra, s: SimpleSet, rad: Subspace) -> PimSet:
-    """Orthogonal primitive idempotents f_1..f_N with Sum f_i = 1 and PIMs.
+    """Orthogonal primitive idempotents f_1..f_N with Sum f_i = 1, and the PIMs.
 
     Splits 1 in A/rad by one solve of phi(x_i) = E_jj, one target per simple
     S and j < dim S (see _wedderburn_map): since phi maps A/rad isomorphically
@@ -224,7 +248,10 @@ def primitive_decomposition(a: GroupAlgebra, s: SimpleSet, rad: Subspace) -> Pim
     idempotents mod rad summing to 1, and x_i belongs to the simple whose
     block holds its target.  Each x_i is lifted inside the corner
     (1 - sum f_j) A (1 - sum f_j) of the idempotents lifted before it; the
-    last idempotent is the exact complement, so the sum is exactly 1.
+    last idempotent is the exact complement, so the sum is exactly 1.  The
+    f_i are certified orthogonal idempotents summing to 1 by
+    _orthogonal_idempotents, and one left ideal A f is spun per simple, from
+    its head idempotent.
     """
     if not s.splits:
         raise SplittingFieldRequired(
@@ -252,35 +279,20 @@ def primitive_decomposition(a: GroupAlgebra, s: SimpleSet, rad: Subspace) -> Pim
     lifted: list[AlgebraElem] = []
     u = a.one()  # 1 - sum of the idempotents lifted so far
     for i, bar in enumerate(bars):
-        if i == len(bars) - 1:
-            f = u
-            if not f.is_idempotent():
-                raise NoConvergence("complement idempotent failed f^2 = f")
-        else:
-            f = lift_idempotent(a, u * bar * u, rad)
+        f = u if i == len(bars) - 1 else lift_idempotent(a, u * bar * u, rad)
         if not rad.contains((f - bar).coeffs):
             raise NoConvergence("lift does not reduce to its piece modulo rad")
         lifted.append(f)
         u = u - f
-
-    # verify pairwise orthogonality and the unit sum
-    total = a.zero()
-    for f in lifted:
-        total = total + f
-    if total != a.one():
-        raise NoConvergence("idempotents do not sum to 1")
-    for i in range(len(lifted)):
-        for j in range(len(lifted)):
-            if i != j and not (lifted[i] * lifted[j]).is_zero():
-                raise NoConvergence("lifted idempotents are not orthogonal")
+    if not _orthogonal_idempotents(a, lifted):
+        raise NoConvergence("lifted idempotents are not orthogonal idempotents summing to 1")
 
     reg = regular_module(a)
     pims = []
-    for f, si in zip(lifted, assignment):
-        sub, _ = sub_quotient(reg, spin(reg, [f.coeffs]))
-        pims.append(Module(a, sub.gen_action, dim=sub.dim, label=f"P{si + 1}", check="off"))
-    representative = [assignment.index(i) for i in range(len(s.simples))]
-    return PimSet(lifted, assignment, pims, representative)
+    for i in range(len(s.simples)):
+        sub, _ = sub_quotient(reg, spin(reg, [lifted[assignment.index(i)].coeffs]))
+        pims.append(Module(a, sub.gen_action, dim=sub.dim, label=f"P{i + 1}", check="off"))
+    return PimSet(lifted, assignment, pims)
 
 
 @dataclass

@@ -153,7 +153,10 @@ def test_block_invariants_sum_orthogonal_central():
 
 def test_every_pim_in_exactly_one_block():
     a, s, rad, pims, c, bp = analyzed("A5", GF4)
-    for j, pim in enumerate(pims.pims):
+    assert len(pims.pims) == len(s.simples)
+    reg = regular_module(a)
+    for j, f in enumerate(pims.idempotents):
+        pim, _ = sub_quotient(reg, spin(reg, [f.coeffs]))  # A f_j
         hits = []
         for b, e in enumerate(bp.block_idempotents):
             act = pim.action_of(e)

@@ -1,5 +1,6 @@
-"""The BLAS matmul kernel, the group-algebra convolution built on it, and the
-regular module's action, each against a plain reference."""
+"""The BLAS matmul kernel, the elimination read-outs, the group-algebra
+convolution built on the matmul, and the regular module's action, each against
+a plain reference."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from modrep.blocks import module_block_assignment
 from modrep.fieldcore import field_make
-from modrep.linalg import _matmul_arr, _mul_outer, _rref_arr
+from modrep.linalg import Mat, Subspace, _matmul_arr, _mul_outer, _nullspace_arr, _rref_arr, solve
 from modrep.modalg import AlgebraElem, GroupAlgebra, Module, regular_module
 from modrep.permgroup import builtin, group_from_json
 from modrep.report import analyze_algebra
@@ -82,6 +83,45 @@ def test_gf2_outer_product_is_and():
     r, rank, pivots = _rref_arr(gf2, m)
     assert rank == len(pivots) and np.array_equal(r[:rank, pivots], np.eye(rank, dtype=gf2.dtype))
     assert not r[rank:].any()
+
+
+def _nullspace_reference(ctx, m):
+    """The (free x pivot) loop that _nullspace_arr's one scatter replaced."""
+    r, rank, pivots = _rref_arr(ctx, m)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), m.shape[1]), dtype=ctx.dtype)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for row_idx, pc in enumerate(pivots):
+            basis[i, pc] = ctx.NEG[r[row_idx, fc]]
+    return basis
+
+
+def _solve_reference(ctx, a, b):
+    r, rank, pivots = _rref_arr(ctx, np.hstack([a, b]))
+    if any(pc >= a.shape[1] for pc in pivots):
+        return None
+    x = np.zeros((a.shape[1], b.shape[1]), dtype=ctx.dtype)
+    for row_idx, pc in enumerate(pivots):
+        x[pc] = r[row_idx, a.shape[1] :]
+    return x
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_elimination_readouts_match_the_row_loops(data):
+    ctx = data.draw(st.sampled_from([field_make(p, k) for p, k in [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2)]]))
+    m, n, l = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8)), data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    density = data.draw(st.sampled_from([0.2, 1.0]))  # sparse ones leave free columns between pivots
+    a = (rng.integers(0, ctx.order, (m, n)) * (rng.random((m, n)) < density)).astype(ctx.dtype)
+    b = rng.integers(0, ctx.order, (m, l)).astype(ctx.dtype)
+    assert np.array_equal(_nullspace_arr(ctx, a), _nullspace_reference(ctx, a))
+    x = solve(Mat(ctx, a), Mat(ctx, b))
+    want = _solve_reference(ctx, a, b)
+    assert (x is None) == (want is None) and (want is None or np.array_equal(x.a, want))
+    space = Subspace(ctx, n, Mat(ctx, a))
+    assert list(space.pivots()) == [int(np.nonzero(row)[0][0]) for row in space.basis.a]
 
 
 def _conv_reference(a: GroupAlgebra, x, b):

@@ -174,3 +174,7 @@ def test_subspace_reduce_and_coords():
     for ci, row in zip(c, u.basis.a):
         back ^= GF4.MUL[int(ci)][row]
     assert np.array_equal(back, vec)
+
+
+def test_subspace_pivots_of_k0():
+    assert Subspace.zero(GF2, 0).pivots().size == 0

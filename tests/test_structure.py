@@ -20,6 +20,8 @@ from modrep.modalg import (
     hom_space,
     modules_isomorphic,
     regular_module,
+    spin,
+    sub_quotient,
     trivial_module,
 )
 from modrep.permgroup import builtin, conjugacy_data, group_from_json, group_generate, parse_cycles
@@ -27,6 +29,7 @@ from modrep.report import analyze_algebra
 from modrep.structure import (
     SimpleSet,
     _ideal_nilpotency_index,
+    _orthogonal_idempotents,
     cartan_both,
     cartan_matrix,
     find_simples,
@@ -333,11 +336,18 @@ def test_decomposition_ka5():
     dims = [pims.pim_for_simple(i).dim for i in range(4)]
     assert dims == [12, 8, 8, 4]
     assert pims.multiplicities(4) == [1, 2, 2, 4]
-    # all idempotents for one simple give isomorphic PIMs
+    assert len(pims.pims) == len(s.simples)
+    # all idempotents for one simple give isomorphic PIMs: A f_j for each f_j
+    reg = regular_module(a)
     for i in range(4):
-        copies = [pims.pims[j] for j, si in enumerate(pims.assignment) if si == i]
-        for c in copies[1:]:
-            assert modules_isomorphic(copies[0], c, 0)
+        copies = [
+            sub_quotient(reg, spin(reg, [f.coeffs]))[0]
+            for f, si in zip(pims.idempotents, pims.assignment)
+            if si == i
+        ]
+        assert len(copies) == s.simples[i].dim
+        for c in copies:
+            assert modules_isomorphic(pims.pim_for_simple(i), c, 0)
 
 
 def test_decomposition_requires_splitting_field():
@@ -384,6 +394,34 @@ def test_decomposition_idempotents_primitive(gens, degree, field):
                 assert act.rank() == 1
             else:
                 assert act.is_zero()
+
+
+def _orthogonal_idempotents_pairwise(a, elems):
+    """Reference: one AlgebraElem product per ordered pair, then the sum."""
+    total = a.zero()
+    for f in elems:
+        total = total + f
+    return total == a.one() and all(
+        f * g == f if i == j else (f * g).is_zero()
+        for i, f in enumerate(elems)
+        for j, g in enumerate(elems)
+    )
+
+
+@pytest.mark.parametrize("name, field", [("A4", GF4), ("A5", GF4), ("S5", GF2)])
+def test_orthogonal_idempotents_matches_pairwise_products(name, field):
+    a = GroupAlgebra(_group(name), field)
+    s = find_simples(a, 0)
+    fs = primitive_decomposition(a, s, jacobson_radical(a, s)).idempotents
+    x = a.basis_elem(1)
+    cases = [
+        (fs, True),
+        (fs[:1] + fs, False),  # f_1 repeated
+        ([x, a.one() - x], False),  # sums to 1, but x^2 != x
+        (fs[1:], False),  # f_1 dropped: no longer sums to 1
+    ]
+    for elems, want in cases:
+        assert _orthogonal_idempotents(a, elems) == _orthogonal_idempotents_pairwise(a, elems) == want
 
 
 # ---------------------------------------------------------- cartan matrix --
