@@ -145,6 +145,18 @@ class GroupTable:
     elements[0] is the identity; the rest follow deterministic BFS order by
     generator application, ties broken by image-array lexicographic order.
     Immutable after generation; all queries are pure.
+
+    The table is built from the generators, not from |G|^2 products.  For
+    each generator g, the products x * g and g * x over all elements x are
+    one fancy-index of the stacked image arrays plus an index lookup per
+    element.  The BFS parents come from the columns x * g: element a is
+    parent(a) * g, so row a of the table is a * j = parent(a) * (g * j), one
+    gather of row parent(a), filled in BFS order.  inv[a] is where row a
+    hits the identity.  Since any caller may build a table, the element list
+    is checked to be the group the generators generate: elements[0] must be
+    the identity, no element may repeat, every x * g must lie in the list
+    and the generators must reach every element, else InvalidGroupSpec is
+    raised.
     """
 
     def __init__(self, elements: list[Perm], generators: list[Perm]):
@@ -152,31 +164,44 @@ class GroupTable:
         self.degree = elements[0].degree
         self.index = {p.images: i for i, p in enumerate(elements)}
         n = len(elements)
-        self.generators = tuple(self.index[g.images] for g in generators)
+        if any(p.degree != self.degree for p in (*elements, *generators)):
+            raise DegreeMismatch("group elements and generators act on different degrees")
+        if not elements[0].is_identity() or len(self.index) != n:
+            raise InvalidGroupSpec("elements[0] must be the identity and no element may repeat")
+        images = np.array([p.images for p in elements], dtype=np.intp).reshape(n, self.degree)
+
+        def indices(products: np.ndarray) -> list[Optional[int]]:
+            return [self.index.get(row) for row in map(tuple, products.tolist())]
+
+        gcols = []  # gcols[gi][x] = index of x * generators[gi]
+        for g in generators:
+            gcols.append(indices(images[:, g.images]))
+            if None in gcols[-1]:
+                raise InvalidGroupSpec(f"a product x * {g} leaves the element set")
+        self.generators = tuple(col[0] for col in gcols)
         self.generator_perms = tuple(generators)
-        mult = np.zeros((n, n), dtype=np.int32)
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                mult[i, j] = self.index[(a * b).images]
-        self.mult = mult
-        inv = np.zeros(n, dtype=np.int32)
-        for i, a in enumerate(elements):
-            inv[i] = self.index[a.inverse().images]
-        self.inv = inv
         # BFS parents: element i = parent * generator (identity is its own root)
         self.parents: list[tuple[int, int]] = [(-1, -1)] * n
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gi, g in enumerate(self.generators):
-                    y = int(mult[x, g])
-                    if y not in seen:
-                        seen.add(y)
-                        self.parents[y] = (x, gi)
-                        nxt.append(y)
-            frontier = nxt
+        seen = [True] + [False] * (n - 1)
+        order = [0]
+        for x in order:
+            for gi, col in enumerate(gcols):
+                y = col[x]
+                if not seen[y]:
+                    seen[y] = True
+                    self.parents[y] = (x, gi)
+                    order.append(y)
+        if len(order) != n:
+            raise InvalidGroupSpec(f"the generators reach {len(order)} of the {n} elements")
+        # the list is now the group, so every g * x is found: grows[gi][j] = g * j
+        grows = [np.array(indices(np.array(g.images)[images]), dtype=np.int32) for g in generators]
+        mult = np.empty((n, n), dtype=np.int32)
+        mult[0] = np.arange(n, dtype=np.int32)
+        for a in order[1:]:
+            x, gi = self.parents[a]
+            np.take(mult[x], grows[gi], out=mult[a])
+        self.mult = mult
+        self.inv = mult.argmin(axis=1).astype(np.int32)
         self._orders: Optional[tuple[int, ...]] = None
 
     @property
@@ -278,13 +303,12 @@ class Subgroup:
         members = tuple(sorted(set(int(m) for m in members)))
         if 0 not in members:
             raise NotSubgroup("subgroup must contain the identity")
-        mset = set(members)
-        for a in members:
-            for b in members:
-                if int(parent.mult[a, b]) not in mset:
-                    raise NotSubgroup("member set is not closed under multiplication")
         self.parent = parent
         self.members = members
+        self._is_member = np.zeros(parent.order, dtype=bool)
+        self._is_member[list(members)] = True
+        if not self._is_member[parent.mult[np.ix_(members, members)]].all():
+            raise NotSubgroup("member set is not closed under multiplication")
 
     @classmethod
     def from_perms(cls, parent: GroupTable, perms: Sequence[Perm]) -> "Subgroup":
@@ -315,12 +339,9 @@ class Subgroup:
         return len(self.members)
 
     def is_normal(self) -> bool:
-        mset = set(self.members)
-        for g in range(self.parent.order):
-            for m in self.members:
-                if self.parent.conjugate(g, m) not in mset:
-                    return False
-        return True
+        """Whether g m g^-1 is a member for every g in G and m in H."""
+        mult, inv = self.parent.mult, self.parent.inv
+        return bool(self._is_member[mult[mult[:, list(self.members)], inv[:, None]]].all())
 
     def element_perms(self) -> list[Perm]:
         return [self.parent.elements[i] for i in self.members]

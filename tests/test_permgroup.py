@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from modrep.errors import DegreeMismatch, NotSubgroup, UnknownGroup
+from modrep.errors import (
+    DegreeMismatch,
+    GroupTooLarge,
+    InvalidGroupSpec,
+    NotSubgroup,
+    UnknownGroup,
+)
 from modrep.permgroup import (
+    GROUP_ORDER_GUARD,
+    GroupTable,
     Perm,
     Subgroup,
     builtin,
@@ -85,6 +93,74 @@ def test_mult_table_identity_row():
     # element order is deterministic across regenerations
     g2 = builtin("A4")
     assert [p.images for p in g.elements] == [p.images for p in g2.elements]
+
+
+def _reference_table(g):
+    """The |G|^2 Perm-product table, the Perm.inverse list and the BFS
+    parents read off that table (the construction GroupTable replaced)."""
+    n = g.order
+    mult = np.zeros((n, n), dtype=np.int32)
+    for i, a in enumerate(g.elements):
+        for j, b in enumerate(g.elements):
+            mult[i, j] = g.index[(a * b).images]
+    inv = np.zeros(n, dtype=np.int32)
+    for i, a in enumerate(g.elements):
+        inv[i] = g.index[a.inverse().images]
+    gens = [g.index[p.images] for p in g.generator_perms]
+    parents = [(-1, -1)] * n
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, gen in enumerate(gens):
+                y = int(mult[x, gen])
+                if y not in seen:
+                    seen.add(y)
+                    parents[y] = (x, gi)
+                    nxt.append(y)
+        frontier = nxt
+    return mult, inv, parents
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "C2", "C5", "V4", "S3", "A4", "S4", "A5",
+        {"degree": 5, "generators": ["(1,2,3,4,5)", "(1,2)"]},
+        {"degree": 7, "generators": ["(1,2,3,4,5,6,7)", "(1,2)(3,6)"]},
+        {"degree": 3, "generators": []},
+        {"degree": 4, "generators": ["()", "(1,2,3,4)", "(1,2)"]},
+        {"degree": 4, "generators": ["(1,2,3)", "(1,2,3)", "(2,3,4)"]},
+    ],
+    ids=["C2", "C5", "V4", "S3", "A4", "S4", "A5", "S5", "PSL27", "trivial",
+         "identity-generator", "repeated-generator"],
+)
+def test_table_matches_perm_product_reference(spec):
+    g = builtin(spec) if isinstance(spec, str) else group_from_json(spec)
+    mult, inv, parents = _reference_table(g)
+    assert g.mult.dtype == mult.dtype and np.array_equal(g.mult, mult)
+    assert g.inv.dtype == inv.dtype and np.array_equal(g.inv, inv)
+    assert g.parents == parents
+
+
+def test_table_rejects_element_lists_that_are_not_the_group():
+    s3 = builtin("S3")
+    transposition = parse_cycles("(1,2)", 3)
+    with pytest.raises(InvalidGroupSpec, match="reach 2 of the 6"):
+        GroupTable(list(s3.elements), [transposition])
+    three_cycle = parse_cycles("(1,2,3)", 3)
+    with pytest.raises(InvalidGroupSpec, match="leaves the element set"):
+        GroupTable([Perm.identity(3), three_cycle], [three_cycle])
+    with pytest.raises(InvalidGroupSpec, match="identity"):
+        GroupTable([transposition, Perm.identity(3)], [transposition])
+    with pytest.raises(InvalidGroupSpec, match="repeat"):
+        GroupTable([Perm.identity(3), transposition, transposition], [transposition])
+
+
+def test_group_order_guard_s8():
+    s8 = {"degree": 8, "generators": ["(1,2,3,4,5,6,7,8)", "(1,2)"]}
+    with pytest.raises(GroupTooLarge, match=str(GROUP_ORDER_GUARD)):
+        group_from_json(s8)
 
 
 def test_conjugacy_a4():

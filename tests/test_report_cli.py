@@ -116,6 +116,16 @@ def test_malformed_group_spec_exit_1_one_line(tmp_path, capsys, spec):
     assert len(err.splitlines()) == 1
 
 
+def test_group_order_guard_exit_1_one_line(tmp_path, capsys):
+    path = tmp_path / "s8.json"
+    path.write_text('{"degree": 8, "generators": ["(1,2,3,4,5,6,7,8)", "(1,2)"]}',
+                    encoding="utf-8")
+    assert run_cli(["analyze", "--group-file", str(path), "--char", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("modrep: error: GroupTooLarge:")
+    assert len(err.splitlines()) == 1
+
+
 # sha256 of the seed-0 JSON report; any change to the report bytes shows here
 PINNED_REPORTS = [
     ("A4", 2, 2, "ff535214db34160f208ba8762fdade2b25fc0f555f223622952fa62434fe6a6a"),
