@@ -9,10 +9,11 @@ record keeps the median wall with that run's stage split (the report's
 `timings`), the largest peak RSS and the report's sha256, so two
 checkouts give a before/after pair:
 
-    python scripts/ladder_bench.py --label before --src OTHER_CHECKOUT/src
-    python scripts/ladder_bench.py --label after
+    python scripts/ladder_bench.py --label before --src OTHER_CHECKOUT/src --out BENCH_<n>.json
+    python scripts/ladder_bench.py --label after --out BENCH_<n>.json
 
---src picks the modrep to import (default: this checkout's src).
+--src picks the modrep to import (default: this checkout's src); --out, which
+has no default, names the record to update.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="name of this side, e.g. before or after")
     ap.add_argument("--src", default=str(here / "src"), help="directory holding the modrep package")
-    ap.add_argument("--out", default=str(here / "BENCH_12.json"), help="JSON file to update")
+    ap.add_argument("--out", required=True, help="JSON file to update, e.g. BENCH_<n>.json")
     args = ap.parse_args(argv)
     import numpy as np
 

@@ -6,7 +6,9 @@ Products go through one exact float64 BLAS call for every field, in the
 polynomial basis that the encodings' base-p digits already are
 (_matmul_arr).  Elimination works on whole rows: XOR in characteristic 2
 (AND for the GF(2) scalings), table lookups otherwise.  Canonical RREF
-everywhere makes subspace equality plain array equality.
+everywhere makes subspace equality plain array equality.  A Subspace keeps
+the pivot columns of its basis and grows by reduced rows (extend): only the
+new rows are eliminated, never the basis it already has.
 """
 
 from __future__ import annotations
@@ -254,23 +256,33 @@ def solve(a: Mat, b: Mat) -> Optional[Mat]:
 
 
 class Subspace:
-    """A subspace of k^n held as a canonical RREF basis (full row rank).
+    """A subspace of k^n held as a canonical RREF basis (full row rank) with
+    the pivot column of each basis row.
 
     Canonical form means equality of subspaces is equality of arrays.
     """
 
-    __slots__ = ("ctx", "ambient", "basis")
+    __slots__ = ("ctx", "ambient", "basis", "_pivots")
 
-    def __init__(self, ctx: FieldCtx, ambient: int, basis: Mat, *, _canonical: bool = False):
-        self.ctx = ctx
-        self.ambient = ambient
+    def __init__(self, ctx: FieldCtx, ambient: int, basis: Mat):
         if basis.cols != ambient:
             raise AmbientMismatch(f"basis width {basis.cols} != ambient {ambient}")
-        if _canonical:
-            self.basis = basis
-        else:
-            r, rank, _ = rref(basis)
-            self.basis = Mat(ctx, r.a[:rank].copy())
+        r, rank, pivots = _rref_arr(ctx, basis.a)
+        self._set(ctx, ambient, Mat(ctx, r[:rank].copy()), pivots)
+
+    def _set(self, ctx: FieldCtx, ambient: int, basis: Mat, pivots) -> None:
+        self.ctx = ctx
+        self.ambient = ambient
+        self.basis = basis
+        self._pivots = np.array(pivots, dtype=np.intp)
+        self._pivots.flags.writeable = False
+
+    @staticmethod
+    def _echelon(ctx: FieldCtx, ambient: int, basis: np.ndarray, pivots) -> "Subspace":
+        """Wrap rows already in RREF with their pivots, without eliminating."""
+        space = object.__new__(Subspace)
+        space._set(ctx, ambient, Mat(ctx, basis), pivots)
+        return space
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, ambient: int, vectors: Iterable) -> "Subspace":
@@ -281,21 +293,19 @@ class Subspace:
 
     @classmethod
     def zero(cls, ctx: FieldCtx, ambient: int) -> "Subspace":
-        return cls(ctx, ambient, Mat.zeros(ctx, 0, ambient), _canonical=True)
+        return cls._echelon(ctx, ambient, np.zeros((0, ambient), dtype=ctx.dtype), [])
 
     @classmethod
     def full(cls, ctx: FieldCtx, ambient: int) -> "Subspace":
-        return cls(ctx, ambient, Mat.identity(ctx, ambient), _canonical=True)
+        return cls._echelon(ctx, ambient, np.eye(ambient, dtype=ctx.dtype), range(ambient))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
 
     def pivots(self) -> np.ndarray:
-        """Pivot column of each basis row: its first nonzero entry."""
-        if self.ambient == 0:
-            return np.zeros(0, dtype=np.intp)  # argmax over zero columns raises
-        return (self.basis.a != 0).argmax(axis=1)
+        """Pivot column of each basis row (read-only): its first nonzero entry."""
+        return self._pivots
 
     def reduce_rows(self, mat: np.ndarray) -> np.ndarray:
         """Residuals of several vectors (rows of mat) at once.
@@ -306,7 +316,26 @@ class Subspace:
         """
         ctx = self.ctx
         m = np.asarray(mat, dtype=ctx.dtype)
-        return _sub_arr(ctx, m, _matmul_arr(ctx, m[:, self.pivots()], self.basis.a))
+        return _sub_arr(ctx, m, _matmul_arr(ctx, m[:, self._pivots], self.basis.a))
+
+    def extend(self, rows: np.ndarray) -> tuple["Subspace", np.ndarray]:
+        """The sum of self and the span of rows, and the new directions F.
+
+        F is the RREF of the residuals of rows, so F is zero on the old
+        pivots and the identity on its own.  Clearing the old basis B on F's
+        pivots, B - B[:, P] F, keeps B the identity on the old pivots, and
+        merging the rows by pivot gives the RREF of the sum: B is never
+        eliminated again.  The sum has dimension dim + F.shape[0].
+        """
+        ctx = self.ctx
+        f, rank, fresh_pivots = _rref_arr(ctx, self.reduce_rows(rows))
+        f = f[:rank]
+        b = self.basis.a
+        cleared = _sub_arr(ctx, b, _matmul_arr(ctx, b[:, fresh_pivots], f))
+        pivots = np.concatenate([self._pivots, fresh_pivots])
+        order = np.argsort(pivots)
+        space = Subspace._echelon(ctx, self.ambient, np.vstack([cleared, f])[order], pivots[order])
+        return space, f
 
     def contains(self, vec) -> bool:
         v = np.array([_as_val(self.ctx, x) for x in vec], dtype=self.ctx.dtype)
@@ -318,7 +347,7 @@ class Subspace:
     def coords(self, vec: np.ndarray) -> np.ndarray:
         """Coordinates w.r.t. the RREF basis (valid only for members)."""
         v = np.asarray(vec, dtype=self.ctx.dtype)
-        return v[self.pivots()]
+        return v[self._pivots]
 
     def __eq__(self, other) -> bool:
         return (
@@ -338,28 +367,13 @@ class Subspace:
 def subspace_ops(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:
     """Sum and intersection, both canonical.
 
-    Zassenhaus block elimination gives the two answers in one pass, so the
-    dimension formula dim(sum) + dim(meet) = dim u + dim v holds structurally.
+    The sum extends u by v's basis.  A combination c B_u of u's basis lies
+    in v exactly when its residual c R, R = B_u mod v, vanishes, so the
+    meet is N B_u for N a basis of the left nullspace of R.
     """
     if u.ctx != v.ctx or u.ambient != v.ambient:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    ctx, n = u.ctx, u.ambient
-    if u.dim == 0:
-        return v, Subspace.zero(ctx, n)
-    if v.dim == 0:
-        return u, Subspace.zero(ctx, n)
-    top = np.hstack([u.basis.a, u.basis.a])
-    bot = np.hstack([v.basis.a, np.zeros_like(v.basis.a)])
-    r, rank, _ = _rref_arr(ctx, np.vstack([top, bot]))
-    left = r[:, :n]
-    right = r[:, n:]
-    sum_rows = []
-    meet_rows = []
-    for i in range(rank):
-        if left[i].any():
-            sum_rows.append(left[i])
-        elif right[i].any():
-            meet_rows.append(right[i])
-    total = Subspace.from_vectors(ctx, n, sum_rows) if sum_rows else Subspace.zero(ctx, n)
-    meet = Subspace.from_vectors(ctx, n, meet_rows) if meet_rows else Subspace.zero(ctx, n)
-    return total, meet
+    ctx = u.ctx
+    total, _ = u.extend(v.basis.a)
+    coeffs = _nullspace_arr(ctx, v.reduce_rows(u.basis.a).T)
+    return total, Subspace(ctx, u.ambient, Mat(ctx, _matmul_arr(ctx, coeffs, u.basis.a)))

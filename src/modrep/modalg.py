@@ -39,6 +39,7 @@ from .linalg import (
     Mat,
     Subspace,
     _add_arr,
+    _as_val,
     _kron_arr,
     _matmul_arr,
     _nullspace_arr,
@@ -385,33 +386,25 @@ def module_from_json(a: GroupAlgebra, text_or_obj) -> Module:
 
 
 def _spin_arrays(k: FieldCtx, gens: Sequence[np.ndarray], seeds: np.ndarray, dim: int) -> Subspace:
-    space = Subspace.from_vectors(k, dim, seeds)
+    space = Subspace(k, dim, Mat(k, seeds))
     frontier = space.basis.a
     wide = np.hstack([g.T for g in gens]) if gens else None  # block j is g_j^T
     while gens and frontier.size and space.dim < dim:
-        # row (i, j) is frontier_i g_j^T; the order of rows does not change their span
-        batch = space.reduce_rows(_matmul_arr(k, frontier, wide).reshape(-1, dim))
-        batch = batch[batch.any(axis=1)]
-        if batch.size == 0:
-            break
-        # a nonzero residual lies outside space, so the new space is larger
-        newspace = Subspace(k, dim, Mat(k, np.vstack([space.basis.a, batch])))
-        # fresh directions only: reduce new basis rows by the old space
-        fresh = space.reduce_rows(newspace.basis.a)
-        frontier = fresh[fresh.any(axis=1)]
-        space = newspace
+        # row (i, j) is frontier_i g_j^T; only the fresh directions are spun on
+        space, frontier = space.extend(_matmul_arr(k, frontier, wide).reshape(-1, dim))
     return space
 
 
 def spin(m: Module, seeds: Iterable) -> Subspace:
-    """Smallest invariant subspace containing the seed vectors."""
+    """Smallest invariant subspace containing the seed vectors (array seeds
+    are taken as element encodings)."""
     k = m.algebra.field
     rows = []
     for v in seeds:
         if isinstance(v, np.ndarray):
             row = np.asarray(v, dtype=k.dtype)
         else:
-            row = np.array([x.val if isinstance(x, FieldElem) else int(x) for x in v], k.dtype)
+            row = np.array([_as_val(k, x) for x in v], k.dtype)
         if row.shape != (m.dim,):
             raise DimensionMismatch(f"seed of length {row.shape} in dim {m.dim}")
         rows.append(row)
@@ -434,7 +427,8 @@ def sub_quotient(m: Module, s: Subspace) -> tuple[Module, Module]:
     if s.ambient != m.dim:
         raise DimensionMismatch(f"subspace of k^{s.ambient} in a dim-{m.dim} module")
     piv = s.pivots()
-    nonpiv = [c for c in range(m.dim) if c not in piv]
+    nonpiv = np.ones(m.dim, dtype=bool)
+    nonpiv[piv] = False
     B = s.basis.a
     sub_gens = []
     quot_gens = []
@@ -747,7 +741,7 @@ class RightIdeal(Subspace):
     __slots__ = ("_generators",)
 
     def __init__(self, space: Subspace, generators: np.ndarray):
-        super().__init__(space.ctx, space.ambient, space.basis, _canonical=True)
+        self._set(space.ctx, space.ambient, space.basis, space.pivots())
         self._generators = generators
 
     @property

@@ -312,19 +312,7 @@ class Subgroup:
 
     @classmethod
     def from_perms(cls, parent: GroupTable, perms: Sequence[Perm]) -> "Subgroup":
-        idxs = {0}
-        frontier = [parent.index_of(p) for p in perms]
-        idxs.update(frontier)
-        while frontier:
-            new = []
-            for a in list(idxs):
-                for b in frontier:
-                    c = int(parent.mult[a, b])
-                    if c not in idxs:
-                        idxs.add(c)
-                        new.append(c)
-            frontier = new
-        return cls(parent, idxs)
+        return cls(parent, _closure(parent, [parent.index_of(p) for p in perms]))
 
     @classmethod
     def whole(cls, parent: GroupTable) -> "Subgroup":
@@ -342,14 +330,6 @@ class Subgroup:
         """Whether g m g^-1 is a member for every g in G and m in H."""
         mult, inv = self.parent.mult, self.parent.inv
         return bool(self._is_member[mult[mult[:, list(self.members)], inv[:, None]]].all())
-
-    def element_perms(self) -> list[Perm]:
-        return [self.parent.elements[i] for i in self.members]
-
-    def as_table(self) -> GroupTable:
-        """The subgroup as its own GroupTable (same permutation degree)."""
-        gens = self.element_perms()
-        return group_generate([g for g in gens if not g.is_identity()] or [], self.parent.degree)
 
     def __repr__(self) -> str:
         return f"Subgroup(order {self.order} of {self.parent!r})"

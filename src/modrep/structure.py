@@ -143,7 +143,7 @@ def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> RightIdeal:
             break
         if span.reduce_rows(y[None, :]).any():
             gens.append(y)
-            span = Subspace(k, n, Mat(k, np.vstack([span.basis.a, np.take(y, a._right_index)])))
+            span, _ = span.extend(np.take(y, a._right_index))
     rad = RightIdeal(space, np.array(gens, dtype=k.dtype).reshape(-1, n))
     try:
         _ideal_nilpotency_index(a, rad)

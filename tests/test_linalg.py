@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from modrep.errors import AmbientMismatch, ShapeMismatch
 from modrep.fieldcore import field_make
-from modrep.linalg import Mat, Subspace, _kron_arr, nullspace, rref, solve, subspace_ops
+from modrep.linalg import (
+    Mat, Subspace, _kron_arr, _matmul_arr, nullspace, rref, solve, subspace_ops,
+)
 
 GF2 = field_make(2, 1)
 GF4 = field_make(2, 2)
@@ -178,3 +182,59 @@ def test_subspace_reduce_and_coords():
 
 def test_subspace_pivots_of_k0():
     assert Subspace.zero(GF2, 0).pivots().size == 0
+
+
+@pytest.mark.parametrize("ctx", [GF2, field_make(3, 1), GF4, field_make(3, 2)], ids=str)
+def test_extend_equals_reelimination(ctx):
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = int(rng.integers(0, 9))
+        u = Subspace(ctx, n, random_mat(ctx, int(rng.integers(0, n + 2)), n, rng))
+        kind = trial % 4
+        if kind == 0:  # random rows
+            rows = random_mat(ctx, int(rng.integers(1, 5)), n, rng).a
+        elif kind == 1:  # rows already in u
+            rows = _matmul_arr(ctx, random_mat(ctx, 3, u.dim, rng).a, u.basis.a)
+        elif kind == 2:  # zero rows among random ones
+            rows = np.vstack([np.zeros((2, n), dtype=ctx.dtype), random_mat(ctx, 1, n, rng).a])
+        else:  # no rows
+            rows = np.zeros((0, n), dtype=ctx.dtype)
+        grown, fresh = u.extend(rows)
+        reference = Subspace(ctx, n, Mat(ctx, np.vstack([u.basis.a, rows])))
+        assert grown == reference
+        assert list(grown.pivots()) == [int(np.flatnonzero(r)[0]) for r in grown.basis.a]
+        assert grown.dim == u.dim + fresh.shape[0]
+        assert Subspace(ctx, n, Mat(ctx, np.vstack([u.basis.a, fresh]))) == grown
+        assert Subspace(ctx, n, Mat(ctx, fresh)).basis.a.tolist() == fresh.tolist()  # fresh is RREF
+        assert not fresh[:, u.pivots()].any()
+        if kind in (1, 3):
+            assert fresh.shape[0] == 0 and grown == u
+
+
+def test_pivots_are_read_only():
+    u = Subspace.from_vectors(GF4, 3, [[1, W, 0], [0, 0, 1]])
+    grown, _ = u.extend(np.array([[0, 1, 0]], dtype=GF4.dtype))
+    for space in (u, grown, Subspace.zero(GF2, 3), Subspace.full(GF2, 3)):
+        with pytest.raises(ValueError):
+            space.pivots()[:1] = 2
+    assert list(u.pivots()) == [0, 2] and list(grown.pivots()) == [0, 1, 2]
+
+
+def span_set(space, p):
+    """Every vector of a subspace of GF(p)^n, by integer arithmetic mod p."""
+    coeffs = itertools.product(range(p), repeat=space.dim)
+    return {tuple(np.array(c, dtype=int) @ space.basis.a.astype(int) % p) for c in coeffs}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_subspace_ops_brute_force(p):
+    ctx = field_make(p, 1)
+    rng = np.random.default_rng(p)
+    for n in range(5):
+        for _ in range(20):
+            u = Subspace(ctx, n, random_mat(ctx, int(rng.integers(0, n + 1)), n, rng))
+            v = Subspace(ctx, n, random_mat(ctx, int(rng.integers(0, n + 1)), n, rng))
+            total, meet = subspace_ops(u, v)
+            su, sv = span_set(u, p), span_set(v, p)
+            assert span_set(meet, p) == su & sv
+            assert span_set(total, p) == {tuple((np.array(a) + b) % p) for a in su for b in sv}
