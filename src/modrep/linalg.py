@@ -132,7 +132,7 @@ def _kron_arr(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Mat:
-    """Immutable dense matrix over a FieldCtx (row-major encodings)."""
+    """Immutable dense matrix over a FieldCtx (row-major encodings, a read-only array)."""
 
     __slots__ = ("ctx", "a")
 
@@ -141,6 +141,8 @@ class Mat:
         a = np.asarray(arr, dtype=ctx.dtype)
         if a.ndim != 2:
             raise ShapeMismatch(f"matrix must be 2-d, got shape {a.shape}")
+        a = a.view()
+        a.flags.writeable = False
         self.a = a
 
     @classmethod

@@ -1,8 +1,10 @@
 """The group algebra kG and its modules.
 
 A Module carries one invertible matrix per group generator; matrices for all
-other elements are products along the group's BFS words (the regular
-module reads them off the multiplication table instead) and are cached.  The
+other elements are products along the group's BFS words, cached on the
+module.  The regular module keeps no such cache: it reads an element matrix
+off the multiplication table when asked, and acts by an algebra element
+with one gather, so a fresh one costs its |G| x |G| generator matrices.  The
 constructor certifies that the generator matrices actually extend to an
 action of the whole multiplication table (full check at desk scale, sampled
 beyond it), except where the construction already proves it (the regular
@@ -18,7 +20,6 @@ told apart by Schur's lemma, with no random draws.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -68,7 +69,6 @@ class GroupAlgebra:
         # _right_index[h, x] is the index of x h^-1; a[_right_index] is the
         # matrix by which b -> a b acts on rows (see conv)
         self._right_index = np.ascontiguousarray(group.mult[:, group.inv].T)
-        self._regular: Optional[weakref.ref] = None  # see regular_module
 
     def zero(self) -> "AlgebraElem":
         return AlgebraElem(self, np.zeros(self.dim, dtype=self.field.dtype))
@@ -117,7 +117,7 @@ class GroupAlgebra:
 
 
 class AlgebraElem:
-    """Coefficient vector over the group-element basis of kG."""
+    """Coefficient vector (a read-only array) over the group-element basis of kG."""
 
     __slots__ = ("algebra", "coeffs")
 
@@ -125,6 +125,8 @@ class AlgebraElem:
         coeffs = np.asarray(coeffs, dtype=algebra.field.dtype)
         if coeffs.shape != (algebra.dim,):
             raise DimensionMismatch(f"coefficient vector of length {coeffs.shape}")
+        coeffs = coeffs.view()
+        coeffs.flags.writeable = False
         self.algebra = algebra
         self.coeffs = coeffs
 
@@ -199,7 +201,8 @@ class Module:
     restriction of a module, whose actions are homomorphic images of valid
     ones, and the induced module, built from a transversal computed here;
     the regular module is read off the group's multiplication table, which
-    is not outside input.
+    is not outside input.  Those constructions pass check="off"; the
+    default "auto" runs _verify.
     """
 
     def __init__(
@@ -223,9 +226,11 @@ class Module:
                 raise DimensionMismatch(f"generator action is {m.rows}x{m.cols}, dim {dim}")
             if m.ctx != algebra.field:
                 raise AlgebraMismatch("generator matrix over the wrong field")
+        if check not in ("auto", "off"):
+            raise ValueError(f"check must be 'auto' or 'off', not {check!r}")
         self._mats: dict[int, np.ndarray] = {}
-        if check != "off":
-            self._verify(check)
+        if check == "auto":
+            self._verify()
 
     # --- action matrices ---
 
@@ -262,13 +267,14 @@ class Module:
             out = _add_arr(k, out, k.MUL[int(elem.coeffs[i])][self._mat_arr(int(i))])
         return Mat(k, out)
 
-    def _verify(self, mode: str) -> None:
+    def _verify(self) -> None:
+        """The full action check at desk scale (dim * |G| <= FULL_CHECK_LIMIT),
+        20 sampled products beyond it."""
         g = self.algebra.group
         k = self.algebra.field
         if self.dim == 0 or g.order == 1:
             return
-        full = mode == "full" or (mode == "auto" and self.dim * g.order <= FULL_CHECK_LIMIT)
-        if full:
+        if self.dim * g.order <= FULL_CHECK_LIMIT:
             mats = [self._mat_arr(i) for i in range(g.order)]
             stacked = np.hstack(mats)  # d x (n*d), h-th block is rho(h)
             for gi in g.generators:
@@ -303,13 +309,10 @@ def _regular_mat(a: GroupAlgebra, h: int) -> np.ndarray:
 
 
 class _RegularModule(Module):
-    """kG on itself; each element matrix is read off the table on first use."""
+    """kG on itself; an element matrix is read off the table, never stored."""
 
     def _mat_arr(self, i: int) -> np.ndarray:
-        cached = self._mats.get(i)
-        if cached is None:
-            cached = self._mats[i] = _regular_mat(self.algebra, i)
-        return cached
+        return _regular_mat(self.algebra, i)
 
     def action_of(self, elem: AlgebraElem) -> Mat:
         """rho(e) = conv(e, 1)^T, column x being e x: one gather, no element matrix."""
@@ -323,20 +326,12 @@ def regular_module(a: GroupAlgebra) -> Module:
 
     Every element matrix comes straight from the multiplication table, so
     none is multiplied out and none needs checking: the table is computed
-    from the group's permutations, not taken from outside.  The module is
-    built once, then shared by every caller for as long as one of them
-    holds it.  The algebra keeps only a weak reference: a strong one would
-    close an algebra <-> module cycle, and the module's cache of up to |G|
-    element matrices of size |G| x |G| would then wait for the cycle
-    collector instead of being freed with its last user.
+    from the group's permutations, not taken from outside.  Each call builds
+    a fresh module from the generator matrices; it stores nothing after
+    that, so there is nothing to share between callers or threads.
     """
-    reg = a._regular() if a._regular is not None else None
-    if reg is not None:
-        return reg
     gens = [Mat(a.field, _regular_mat(a, gi)) for gi in a.group.generators]
-    reg = _RegularModule(a, gens, dim=a.dim, label="regular", check="off")
-    a._regular = weakref.ref(reg)
-    return reg
+    return _RegularModule(a, gens, dim=a.dim, label="regular", check="off")
 
 
 def permutation_module(a: GroupAlgebra) -> Module:
@@ -550,8 +545,9 @@ def _poly_at_matrix(k: FieldCtx, coeffs, theta: np.ndarray) -> np.ndarray:
 def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
     """Norton/MeatAxe irreducibility test with the Holt-Rees extension.
 
-    For a random enveloping-algebra element theta, each irreducible factor f
-    of its minimal polynomial gives a kernel ker f(theta).  Any proper spin
+    theta is the matrix of a random element of kG (through action_of, one
+    gather on the regular module).  Each irreducible factor f of its
+    minimal polynomial gives a kernel ker f(theta).  Any proper spin
     of a kernel vector is a reducibility witness.  When dim ker f(theta)
     equals deg f, all kernel vectors share one spin, so a single full spin
     plus a full spin of one dual kernel vector under the transposed action
@@ -568,13 +564,10 @@ def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
     gens_t = [x.a.T.copy() for x in m.gen_action]
     for attempt in range(_THETA_ATTEMPTS):
         support = 2 + int(rng.integers(0, 3)) + attempt // 20
-        theta = np.zeros((m.dim, m.dim), dtype=k.dtype)
-        terms = []
-        for _ in range(support):
-            e = int(rng.integers(0, g.order))
-            c = int(rng.integers(1, k.order))
-            theta = _add_arr(k, theta, k.MUL[c][m._mat_arr(e)])
-            terms.append((c, e))
+        terms = [  # (element, coefficient), drawn in that order
+            (int(rng.integers(0, g.order)), int(rng.integers(1, k.order))) for _ in range(support)
+        ]
+        theta = m.action_of(m.algebra.from_coeffs(terms)).a
         minpoly = _matrix_minpoly(k, theta)
         if minpoly.degree < 1:
             continue
@@ -600,7 +593,7 @@ def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
             dual_space = _spin_arrays(k, gens_t, ker_t[0][None, :], m.dim)
             if dual_space.dim == m.dim:
                 desc = " + ".join(
-                    f"{FieldElem(k, c)!r}*{g.elements[e].cycle_str()}" for c, e in terms
+                    f"{FieldElem(k, c)!r}*{g.elements[e].cycle_str()}" for e, c in terms
                 )
                 return IrreducibilityVerdict(
                     True, None, f"norton theta = {desc}, factor degree {f.degree}"
@@ -911,7 +904,7 @@ def inflate_module(m: Module, g_alg: GroupAlgebra, qmap: Optional[QuotientMap]) 
 
     QuotientMap is a public dataclass, so its projection may come from
     outside cosets_and_quotient and need not be a homomorphism; the result
-    keeps the constructor's sampled check.
+    keeps the constructor's check.
     """
     if qmap is None:
         raise NoQuotientRecorded("inflation needs the quotient's projection map")
@@ -921,7 +914,7 @@ def inflate_module(m: Module, g_alg: GroupAlgebra, qmap: Optional[QuotientMap]) 
         raise AlgebraMismatch("target algebra is not over the projection's source")
     gens = [m.element_mat(qmap.projection[gi]) for gi in g_alg.group.generators]
     label = f"Inf({m.label})" if m.label else None
-    return Module(g_alg, gens, dim=m.dim, label=label, check="sample")
+    return Module(g_alg, gens, dim=m.dim, label=label)
 
 
 def dual_module(m: Module) -> Module:

@@ -30,7 +30,7 @@ from .structure import (
     pim_structure_report,
     primitive_decomposition,
 )
-from .blocks import BlockPartition, block_partition, module_block_assignment
+from .blocks import BlockPartition, block_partition
 
 SCHEMA = "modrep-report/1"
 
@@ -182,7 +182,7 @@ def analyze_algebra(
     """Run the full structure pipeline and assemble the certified report.
 
     timings holds one entry per stage, plus "assembly" for the rest of the
-    call (the regular module, the block assignment and the certificates),
+    call (the block dimensions, as ranks of e_B on kG, and the certificates),
     so the entries sum to the call's wall time.
     """
     start = time.perf_counter()
@@ -196,8 +196,6 @@ def analyze_algebra(
         return out
 
     a = GroupAlgebra(group, fieldctx)
-    # held for the whole pipeline, so that every stage shares one regular module
-    reg = regular_module(a)
     gspec = dict(group_spec or {})
     gspec.update(group_to_json(group))
     gspec["order"] = group.order
@@ -333,10 +331,8 @@ def analyze_algebra(
     )
 
     bp = clock("blocks", block_partition, cart, pims, s.simples, s.trivial_index())
-    assignment = module_block_assignment(reg, bp)
-    block_dims = [0] * bp.count
-    for b, piece in assignment.pieces:
-        block_dims[b] = piece.dim
+    reg = regular_module(a)
+    block_dims = [reg.action_of(e).rank() for e in bp.block_idempotents]
     formula_dims = [
         sum(s.simples[i].dim * pims.pim_for_simple(i).dim for i in part)
         for part in bp.parts

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modrep import modalg
 from modrep.blocks import module_block_assignment
 from modrep.fieldcore import field_make
+from modrep.goldens import run_paper_suite, run_property_suite
 from modrep.linalg import Mat, Subspace, _matmul_arr, _mul_outer, _nullspace_arr, _rref_arr, solve
 from modrep.modalg import AlgebraElem, GroupAlgebra, Module, regular_module
 from modrep.permgroup import builtin, group_from_json
@@ -157,25 +159,55 @@ def test_conv_matches_the_per_nonzero_loop(name, field):
     "name, field", [("A5", (2, 2)), ("S5", (2, 1)), ("A5", (3, 2))],
     ids=["A5/GF(4)", "S5/GF(2)", "A5/GF(9)"],
 )
-def test_regular_action_is_one_gather(name, field):
+def test_regular_action_is_one_gather(name, field, monkeypatch):
     a = GroupAlgebra(_group(name), field_make(*field))
     k = a.field
     reg = regular_module(a)
     # the same module without the override: sum of c_g rho(g) over the support
     plain = Module(a, reg.gen_action, dim=a.dim, check="off")
     rng = np.random.default_rng(11)
-    for density in (0.1, 1.0):
-        x = (rng.integers(0, k.order, a.dim) * (rng.random(a.dim) < density)).astype(k.dtype)
-        e = AlgebraElem(a, x)
-        assert reg.action_of(e) == plain.action_of(e)
-    assert not reg._mats
+    elems = [
+        AlgebraElem(a, (rng.integers(0, k.order, a.dim) * (rng.random(a.dim) < d)).astype(k.dtype))
+        for d in (0.1, 1.0)
+    ]
+    expect = [plain.action_of(e) for e in elems]
+    calls = _count_regular_mats(monkeypatch)
+    assert [reg.action_of(e) for e in elems] == expect
+    assert not calls
 
 
 @pytest.mark.parametrize("name, field", CONV_CASES, ids=CONV_IDS)
-def test_block_assignment_builds_no_element_matrix(name, field):
+def test_block_assignment_builds_no_element_matrix(name, field, monkeypatch):
     an = analyze_algebra(_group(name), field_make(*field))
     reg = regular_module(an.algebra)
-    before = set(reg._mats)
+    calls = _count_regular_mats(monkeypatch)
     out = module_block_assignment(reg, an.block_partition)
     assert sum(sub.dim for _, sub in out.pieces) == reg.dim
-    assert set(reg._mats) == before
+    assert not calls
+
+
+def _count_regular_mats(monkeypatch) -> list:
+    """Record (group, element) for every element matrix of kG read off the table."""
+    calls = []
+    table_mat = modalg._regular_mat
+
+    def counted(a, h):
+        calls.append((a.group, h))
+        return table_mat(a, h)
+
+    monkeypatch.setattr(modalg, "_regular_mat", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, field", [("A5", (2, 2)), ("S5", (2, 1))], ids=["A5/GF(4)", "S5/GF(2)"])
+def test_analysis_builds_only_generator_matrices_of_kg(name, field, monkeypatch):
+    calls = _count_regular_mats(monkeypatch)
+    assert analyze_algebra(_group(name), field_make(*field)).report.all_passed
+    assert calls and all(h in g.generators for g, h in calls)
+
+
+def test_suites_build_only_generator_matrices_of_kg(monkeypatch):
+    calls = _count_regular_mats(monkeypatch)
+    run_paper_suite(0)
+    run_property_suite(0)
+    assert calls and all(h in g.generators for g, h in calls)

@@ -220,6 +220,18 @@ def test_pivots_are_read_only():
     assert list(u.pivots()) == [0, 2] and list(grown.pivots()) == [0, 1, 2]
 
 
+def test_matrices_are_read_only():
+    s = Subspace.full(GF2, 3)
+    with pytest.raises(ValueError):
+        s.basis.a[0, 1] = 1
+    assert s.contains([1, 0, 0]) and not s.basis.a[0, 1]
+    m = Mat.from_rows(GF4, [[1, W], [0, 1]])
+    h = hash(m)
+    with pytest.raises(ValueError):
+        m.a[0, 1] = 0
+    assert hash(m) == h and m.tolist() == [[1, W], [0, 1]]
+
+
 def span_set(space, p):
     """Every vector of a subspace of GF(p)^n, by integer arithmetic mod p."""
     coeffs = itertools.product(range(p), repeat=space.dim)

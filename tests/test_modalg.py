@@ -11,8 +11,9 @@ from modrep.errors import (
     ZeroModule,
 )
 from modrep.fieldcore import FieldElem, Poly, field_make
-from modrep.linalg import Mat, Subspace
+from modrep.linalg import Mat, Subspace, _add_arr
 from modrep.modalg import (
+    FULL_CHECK_LIMIT,
     GroupAlgebra,
     Module,
     chop,
@@ -175,10 +176,14 @@ def test_regular_module_ka5_dim():
         assert g.rank() == 60
 
 
-def test_regular_module_shared_while_held():
+def test_regular_module_caches_nothing():
+    # every call builds a fresh module, and reading an element matrix stores none
     reg = regular_module(KA4)
-    assert regular_module(KA4) is reg
-    assert regular_module(GroupAlgebra(A4, GF4)) is not reg
+    again = regular_module(KA4)
+    assert again is not reg and again.gen_action == reg.gen_action
+    mat = reg._mat_arr(5)
+    assert reg._mat_arr(5) is not mat and np.array_equal(reg._mat_arr(5), mat)
+    assert not reg._mats and not hasattr(KA4, "_regular")
 
 
 @pytest.mark.parametrize("name", ["A4", "S4"])
@@ -187,7 +192,8 @@ def test_regular_module_table_matches_bfs(name):
     # generator matrices, and those pass the full action check
     a = GroupAlgebra(builtin(name), GF2)
     reg = regular_module(a)
-    bfs = Module(a, reg.gen_action, dim=reg.dim, check="full")
+    assert reg.dim * a.dim <= FULL_CHECK_LIMIT  # the constructor runs the full check
+    bfs = Module(a, reg.gen_action, dim=reg.dim)
     for h in range(a.dim):
         assert np.array_equal(reg.element_mat(h).a, bfs.element_mat(h).a)
 
@@ -254,11 +260,54 @@ def test_sub_quotient_regular_kc2():
         sub_quotient(reg, Subspace.from_vectors(GF2, 2, [[1, 0]]))
 
 
+@pytest.mark.parametrize("mode", ["full", "sample", "on"])
+def test_module_check_is_auto_or_off(mode):
+    with pytest.raises(ValueError):
+        Module(KA4, regular_module(KA4).gen_action, check=mode)
+
+
+def test_algebra_elements_are_read_only():
+    x = KA4.basis_elem(3)
+    with pytest.raises(ValueError):
+        x.coeffs[1] = 1
+    assert x == KA4.basis_elem(3)
+
+
+def _theta_reference(m, terms):
+    """The Norton theta as the sum of c * rho(e) over its drawn terms (e, c)."""
+    k = m.algebra.field
+    theta = np.zeros((m.dim, m.dim), dtype=k.dtype)
+    for e, c in terms:
+        theta = _add_arr(k, theta, k.MUL[c][m._mat_arr(e)])
+    return theta
+
+
+@pytest.mark.parametrize(
+    "p, deg", [(2, 1), (2, 2), (5, 1), (3, 2)], ids=["GF(2)", "GF(4)", "GF(5)", "GF(9)"]
+)
+def test_norton_theta_through_action_of_matches_term_sum(p, deg):
+    # the regular module acts by one gather, a chop piece by its support loop
+    a = GroupAlgebra(A5, field_make(p, deg))
+    k = a.field
+    reg = regular_module(a)
+    _, piece = sub_quotient(reg, is_irreducible(reg, 0).witness)
+    rng = np.random.default_rng(3)
+    for m in (reg, piece):
+        for support in (2, 5, 9):
+            terms = [
+                (int(rng.integers(0, a.dim)), int(rng.integers(1, k.order))) for _ in range(support)
+            ]
+            terms.append(terms[0])  # a repeated element adds its coefficients
+            theta = m.action_of(a.from_coeffs(terms)).a
+            assert np.array_equal(theta, _theta_reference(m, terms))
+
+
 def test_chop_factors_of_regular_ka4_pass_full_check():
     factors = chop(regular_module(KA4), 0)
     assert sum(f.dim for f in factors) == 12
     for f in factors:
-        f._verify("full")
+        assert f.dim * KA4.dim <= FULL_CHECK_LIMIT
+        f._verify()
 
 
 def test_hom_schur_between_inflated_lines():
@@ -411,7 +460,8 @@ def test_unchecked_derived_modules_pass_the_full_check():
         restrict_module(s, A4),
         induce_module(m, KA5),
     ]:
-        derived._verify("full")
+        assert derived.dim * derived.algebra.dim <= FULL_CHECK_LIMIT
+        derived._verify()
 
 
 def test_conv_of_a_stack_is_rowwise():
