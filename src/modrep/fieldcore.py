@@ -10,7 +10,7 @@ float64 digit tables through which matrix products run as BLAS calls.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -620,3 +620,23 @@ def poly_factor(f: Poly) -> list[tuple[Poly, int]]:
     if prod != f:
         raise AssertionError("factorization failed to re-multiply to the input")
     return result
+
+
+def factors_roots_first(f: Poly) -> Iterator[Poly]:
+    """The distinct monic irreducible factors of f, lazily, in poly_factor's order.
+
+    The linear factors x - a come first, from the roots a of f found by
+    evaluating f at every field element (vectorized Horner through the
+    tables), sorted by coefficients as poly_factor sorts them.  poly_factor
+    runs only when a caller reads past them, for the factors of degree >= 2.
+    """
+    if f.is_zero():
+        raise ZeroPolynomial("cannot factor the zero polynomial")
+    k = f.ctx
+    xs = np.arange(k.order)
+    acc = np.zeros(k.order, dtype=np.intp)
+    for c in reversed(f.coeffs):
+        acc = k.ADD[k.MUL[acc, xs], c]
+    for c0 in sorted(int(k.NEG[a]) for a in np.flatnonzero(acc == 0)):
+        yield Poly(k, [c0, 1])
+    yield from (g for g, _ in poly_factor(f) if g.degree >= 2)

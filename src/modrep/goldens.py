@@ -520,7 +520,7 @@ _MASCHKE_CASES = [("C3", 2, 2), ("C5", 2, 1), ("S3", 5, 1), ("A4", 2, 1)]
 # unquoted details list the Cartan matrix or every PIM, which the report holds.
 _REPORT_CERTIFICATES = (
     ("cartan_symmetric", "cartan_symmetric", False),
-    ("cartan_hom_equals_chop", "cartan_methods_agree", False),
+    ("cartan_hom_equals_brauer", "cartan_methods_agree", False),
     ("dimension_identity", "dimension_identity", True),
     ("cartan_column_identity", "cartan_column_identity", False),
     ("head_iso_socle", "pim_head_iso_socle", False),

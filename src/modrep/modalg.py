@@ -4,12 +4,14 @@ A Module carries one invertible matrix per group generator; matrices for all
 other elements are products along the group's BFS words, cached on the
 module.  The regular module keeps no such cache: it reads an element matrix
 off the multiplication table when asked, and acts by an algebra element
-with one gather, so a fresh one costs its |G| x |G| generator matrices.  The
-constructor certifies that the generator matrices actually extend to an
-action of the whole multiplication table (full check at desk scale, sampled
-beyond it), except where the construction already proves it (the regular
-module, read off the table, and sub_quotient, duals, direct sums,
-restrictions and induced modules).
+with one gather, so a fresh one costs its |G| x |G| generator matrices.  A
+left ideal of kG (a PIM) acts through the same table on its RREF basis and
+stores no element matrix either.  The constructor certifies that the
+generator matrices actually extend to an action of the whole
+multiplication table (full check at desk scale, sampled beyond it), except
+where the construction already proves it (the regular module, read off the
+table; left ideals, whose generator images are checked to stay inside;
+sub_quotient, duals, direct sums, restrictions and induced modules).
 
 Everything here is pure: modules are immutable once built, and the
 randomized steps (the Norton test and the chop built on it) take an
@@ -35,7 +37,14 @@ from .errors import (
     NotSubgroup,
     ZeroModule,
 )
-from .fieldcore import FieldCtx, FieldElem, Poly, field_from_json, field_to_json, poly_factor
+from .fieldcore import (
+    FieldCtx,
+    FieldElem,
+    Poly,
+    factors_roots_first,
+    field_from_json,
+    field_to_json,
+)
 from .linalg import (
     Mat,
     Subspace,
@@ -201,8 +210,9 @@ class Module:
     restriction of a module, whose actions are homomorphic images of valid
     ones, and the induced module, built from a transversal computed here;
     the regular module is read off the group's multiplication table, which
-    is not outside input.  Those constructions pass check="off"; the
-    default "auto" runs _verify.
+    is not outside input, and a left ideal checks its generator images by
+    residuals.  Those constructions pass check="off"; the default "auto"
+    runs _verify.
     """
 
     def __init__(
@@ -332,6 +342,42 @@ def regular_module(a: GroupAlgebra) -> Module:
     """
     gens = [Mat(a.field, _regular_mat(a, gi)) for gi in a.group.generators]
     return _RegularModule(a, gens, dim=a.dim, label="regular", check="off")
+
+
+class _LeftIdealModule(Module):
+    """A left ideal L of kG on itself, in the RREF basis B of L (pivots piv).
+
+    B is the identity on its pivot columns, so the coordinate of x b_i on
+    b_j is (x b_i)[piv_j]: rho_L(x) = (B R_x[:, piv])^T, R_x = x[_right_index]
+    (see GroupAlgebra.conv), one gather of |G| x dim L entries and one
+    product, and rho_L(g) = B[:, mult[g^-1, piv]]^T, since (g b)[y] =
+    b[g^-1 y].  Like the regular module it stores no element matrix.  The
+    generator images g B are checked to lie in L (their residuals vanish),
+    so a subspace that is not a left ideal raises NotInvariant.
+    """
+
+    def __init__(self, a: GroupAlgebra, space: Subspace, label: Optional[str] = None):
+        g = a.group
+        gens = []
+        for gi in g.generators:
+            img = space.basis.a[:, g.mult[g.inv[gi]]]  # row i: g b_i in kG coordinates
+            if space.reduce_rows(img).any():
+                raise NotInvariant("subspace is not a left ideal of kG")
+            gens.append(Mat(a.field, img[:, space.pivots()].T))
+        super().__init__(a, gens, dim=space.dim, label=label, check="off")
+        self.space = space
+
+    def _mat_arr(self, i: int) -> np.ndarray:
+        g = self.algebra.group
+        return self.space.basis.a[:, g.mult[g.inv[i], self.space.pivots()]].T
+
+    def action_of(self, elem: AlgebraElem) -> Mat:
+        if elem.algebra != self.algebra:
+            raise AlgebraMismatch("element of a different algebra")
+        a = self.algebra
+        piv = self.space.pivots()
+        r_x = np.take(elem.coeffs, a._right_index[:, piv])  # pivot columns of R_x only
+        return Mat(a.field, _matmul_arr(a.field, self.space.basis.a, r_x).T)
 
 
 def permutation_module(a: GroupAlgebra) -> Module:
@@ -532,14 +578,12 @@ def _matrix_minpoly(k: FieldCtx, theta: np.ndarray):
 
 
 def _poly_at_matrix(k: FieldCtx, coeffs, theta: np.ndarray) -> np.ndarray:
-    d = theta.shape[0]
-    acc = np.zeros((d, d), dtype=k.dtype)
-    eye = np.eye(d, dtype=k.dtype)
-    for c in reversed(coeffs):
-        acc = _matmul_arr(k, acc, theta)
-        if c:
-            acc = _add_arr(k, acc, k.MUL[int(c)][eye])
-    return acc
+    """f(theta) for deg f >= 1 by Horner's rule from c_n theta: deg f - 1 products."""
+    eye = np.eye(theta.shape[0], dtype=k.dtype)
+    acc = k.MUL[int(coeffs[-1])][theta]
+    for c in reversed(coeffs[1:-1]):
+        acc = _matmul_arr(k, _add_arr(k, acc, k.MUL[int(c)][eye]), theta)
+    return _add_arr(k, acc, k.MUL[int(coeffs[0])][eye])
 
 
 def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
@@ -547,7 +591,8 @@ def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
 
     theta is the matrix of a random element of kG (through action_of, one
     gather on the regular module).  Each irreducible factor f of its
-    minimal polynomial gives a kernel ker f(theta).  Any proper spin
+    minimal polynomial, the linear ones first and found as roots (see
+    factors_roots_first), gives a kernel ker f(theta).  Any proper spin
     of a kernel vector is a reducibility witness.  When dim ker f(theta)
     equals deg f, all kernel vectors share one spin, so a single full spin
     plus a full spin of one dual kernel vector under the transposed action
@@ -571,8 +616,7 @@ def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
         minpoly = _matrix_minpoly(k, theta)
         if minpoly.degree < 1:
             continue
-        factors = sorted((f for f, _ in poly_factor(minpoly)), key=lambda f: f.degree)
-        for f in factors:
+        for f in factors_roots_first(minpoly):
             ftheta = _poly_at_matrix(k, f.coeffs, theta)
             ker = _nullspace_arr(k, ftheta)
             nu = ker.shape[0]

@@ -7,14 +7,16 @@ p-regular class count), Jacobson radical
 (kernel of the Wedderburn map phi: x -> (rho_S(x))_S, i.e. the annihilator
 of the simples), primitive orthogonal idempotents (split the identity in
 A/rad by one solve of phi(x) = E_jj, lift, re-orthogonalize), PIMs (one
-spun left ideal per simple), Cartan matrix (computed twice, by the ranks of
-the idempotents on the PIMs and by chopping each PIM, and compared
-entrywise).
+spun left ideal per simple, acting through kG's multiplication table),
+Cartan matrix (computed twice, by the ranks of the idempotents on the PIMs
+and by solving for the PIMs' Brauer characters in the simples', and
+compared entrywise).  Only find_simples draws random numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,9 +27,11 @@ from .errors import (
     MethodDisagreement,
     NoConvergence,
     NotIdempotentModRad,
+    NotInvariant,
     SplittingFieldRequired,
 )
-from .linalg import Mat, Subspace, _matmul_arr, _nullspace_arr, solve
+from .fieldcore import Poly, poly_factor
+from .linalg import Mat, Subspace, _matmul_arr, _nullspace_arr, _rref_arr, solve
 from .modalg import (
     AlgebraElem,
     GroupAlgebra,
@@ -36,17 +40,16 @@ from .modalg import (
     RightIdeal,
     SeedLike,
     _descending_chain,
+    _LeftIdealModule,
+    _poly_at_matrix,
     _rad_generators,
-    _rng,
     _simples_isomorphic,
     chop,
     dual_module,
-    factor_multiset,
     hom_dim,
     radical_and_socle_series,
     regular_module,
     spin,
-    sub_quotient,
 )
 from .permgroup import conjugacy_data
 
@@ -251,7 +254,8 @@ def primitive_decomposition(a: GroupAlgebra, s: SimpleSet, rad: Subspace) -> Pim
     last idempotent is the exact complement, so the sum is exactly 1.  The
     f_i are certified orthogonal idempotents summing to 1 by
     _orthogonal_idempotents, and one left ideal A f is spun per simple, from
-    its head idempotent.
+    its head idempotent.  Each PIM is a _LeftIdealModule on the spun RREF
+    basis, so every later action matrix is a gather through kG's table.
     """
     if not s.splits:
         raise SplittingFieldRequired(
@@ -288,10 +292,10 @@ def primitive_decomposition(a: GroupAlgebra, s: SimpleSet, rad: Subspace) -> Pim
         raise NoConvergence("lifted idempotents are not orthogonal idempotents summing to 1")
 
     reg = regular_module(a)
-    pims = []
-    for i in range(len(s.simples)):
-        sub, _ = sub_quotient(reg, spin(reg, [lifted[assignment.index(i)].coeffs]))
-        pims.append(Module(a, sub.gen_action, dim=sub.dim, label=f"P{i + 1}", check="off"))
+    pims = [
+        _LeftIdealModule(a, spin(reg, [lifted[assignment.index(i)].coeffs]), label=f"P{i + 1}")
+        for i in range(len(s.simples))
+    ]
     return PimSet(lifted, assignment, pims)
 
 
@@ -306,37 +310,108 @@ class CartanMatrix:
         )
 
 
+def _brauer_multiplicities(a: GroupAlgebra, modules: Sequence[Module]) -> list[list[int]]:
+    """m_f(M, g) = dim ker f(rho_M(g)) / deg f: one row per pair (g, f), one column per M.
+
+    g runs over the p-regular class representatives and f over the monic
+    irreducible factors of x^o(g) - 1, factored once per element order.
+    p does not divide o(g), so rho_M(g) is semisimple and m_f(M, g) is the
+    multiplicity of f in its characteristic polynomial; a nullity that
+    deg f does not divide proves rho_M is no action (NotInvariant).
+    """
+    k = a.field
+    classes, _ = conjugacy_data(a.group, k.char)
+    factors: dict[int, list[Poly]] = {}
+    rows = []
+    for c in classes:
+        if not c.p_regular:
+            continue
+        o = a.group.element_order(c.rep)
+        if o not in factors:
+            factors[o] = [f for f, _ in poly_factor(Poly(k, [k.neg(1)] + [0] * (o - 1) + [1]))]
+        mats = [m.element_mat(c.rep).a for m in modules]
+        for f in factors[o]:
+            row = []
+            for m, theta in zip(modules, mats):
+                nullity = m.dim - _rref_arr(k, _poly_at_matrix(k, f.coeffs, theta))[1]
+                if nullity % f.degree:
+                    raise NotInvariant(
+                        f"{m!r}: an element of order {o} prime to p is not semisimple"
+                    )
+                row.append(nullity // f.degree)
+            rows.append(row)
+    return rows
+
+
+def _nonnegative_integer_solution(v: list[list[int]], e: list[list[int]]) -> list[list[int]]:
+    """The unique C with V C = E over Q, certified to be a non-negative integer matrix.
+
+    Gauss-Jordan on [V | E] over the integers: a row update r <- p r - r_c
+    pivot_row keeps every entry integral, and dividing the row by the gcd of
+    its entries keeps them small.  C[i][j] is then E-entry / pivot of row i.
+    A dependent column of V (a simple listed twice), an inconsistent system
+    (a simple missing) or a C that is not a non-negative integer matrix (a
+    simple missing, or a module listed as simple that is not) raise
+    IncompleteSimpleSet.
+    """
+    n = len(v[0])
+    rows = [vr + er for vr, er in zip(v, e)]
+    for c in range(n):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            raise IncompleteSimpleSet(
+                "the simples' Brauer characters are linearly dependent; a simple is listed twice"
+            )
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for r, row in enumerate(rows):
+            if r != c and row[c]:
+                row = [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g else row
+    if any(x for row in rows[n:] for x in row[n:]):
+        raise IncompleteSimpleSet(
+            "a PIM's Brauer character is no combination of the simples'; a simple is missing"
+        )
+    out = [[divmod(x, row[c]) for x in row[n:]] for c, row in enumerate(rows[:n])]
+    if any(rem or quo < 0 for qs in out for quo, rem in qs):
+        raise IncompleteSimpleSet(
+            "Brauer multiplicities are not non-negative integers;"
+            " a simple is missing or not simple"
+        )
+    return [[quo for quo, _ in qs] for qs in out]
+
+
 def cartan_both(
-    a: GroupAlgebra, s: SimpleSet, pims: PimSet, seed: SeedLike = 0
+    a: GroupAlgebra, s: SimpleSet, pims: PimSet
 ) -> tuple[list[list[int]], list[list[int]]]:
-    """The Cartan matrix twice: via Hom out of projectives and via chopping.
+    """The Cartan matrix twice: via Hom out of projectives and via Brauer characters.
 
     The Hom route reads C[i][j] = dim Hom(P_i, P_j) = dim f_i P_j as the rank
-    of f_i on P_j (Hom_A(Af, M) = fM); the chop route counts the composition
-    factors of each P_j.  Neither route uses the other's result.
+    of f_i on P_j (Hom_A(Af, M) = fM).  The Brauer route uses that
+    characteristic polynomials multiply along a composition series, so
+    m(P_j) = sum_i C[i][j] m(S_i) for the vectors m of _brauer_multiplicities;
+    over a splitting field the simples' Brauer characters are linearly
+    independent, so C is the unique solution, certified a non-negative
+    integer matrix.  Neither route uses the other's result, an idempotent
+    of the other or a random draw; the PIMs act through kG's table.
     """
     if not s.splits:
         raise SplittingFieldRequired("Cartan invariants computed over splitting fields")
-    rng = _rng(seed)
     n = len(s.simples)
     reps = [pims.pim_for_simple(i) for i in range(n)]
     via_hom = [[reps[j].action_of(f).rank() for j in range(n)] for f in pims.heads]
-    via_chop = [[0] * n for _ in range(n)]
-    for j in range(n):
-        counts = factor_multiset(reps[j], s.simples, rng)
-        for i in range(n):
-            via_chop[i][j] = counts[i]
-    return via_hom, via_chop
+    m = _brauer_multiplicities(a, [*s.simples, *reps])
+    via_brauer = _nonnegative_integer_solution([r[:n] for r in m], [r[n:] for r in m])
+    return via_hom, via_brauer
 
 
-def cartan_matrix(
-    a: GroupAlgebra, s: SimpleSet, pims: PimSet, seed: SeedLike = 0
-) -> CartanMatrix:
+def cartan_matrix(a: GroupAlgebra, s: SimpleSet, pims: PimSet) -> CartanMatrix:
     """C[i][j] = multiplicity of S_i in P_j; both computation routes must agree."""
-    via_hom, via_chop = cartan_both(a, s, pims, seed)
-    if via_hom != via_chop:
+    via_hom, via_brauer = cartan_both(a, s, pims)
+    if via_hom != via_brauer:
         raise MethodDisagreement(
-            f"Cartan via Hom {via_hom} disagrees with Cartan via chop {via_chop}"
+            f"Cartan via Hom {via_hom} disagrees with Cartan via Brauer characters {via_brauer}"
         )
     return CartanMatrix(via_hom)
 

@@ -52,7 +52,7 @@ def analyzed(name, field, seed=0):
         s = find_simples(a, seed)
         rad = jacobson_radical(a, s)
         pims = primitive_decomposition(a, s, rad)
-        c = cartan_matrix(a, s, pims, seed)
+        c = cartan_matrix(a, s, pims)
         bp = block_partition(c, pims, s.simples, s.trivial_index())
         _CACHE[key] = (a, s, rad, pims, c, bp)
     return _CACHE[key]

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modrep.errors import DegreeMismatch, NotPrime, ReducibleModulus, ZeroPolynomial
+from modrep import fieldcore
 from modrep.fieldcore import (
     Poly,
+    factors_roots_first,
     field_from_json,
     field_make,
     field_to_json,
@@ -16,6 +18,9 @@ from modrep.fieldcore import (
 GF2 = field_make(2, 1)
 GF4 = field_make(2, 2)
 GF5 = field_make(5, 1)
+FACTOR_FIELDS = [
+    GF2, field_make(3, 1), GF4, GF5, field_make(7, 1), field_make(3, 2), field_make(2, 4)
+]
 
 
 def test_default_gf4_modulus_and_omega():
@@ -179,3 +184,35 @@ def test_factor_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_factors_roots_first_is_poly_factor_in_its_order(data):
+    # f is a product of powers of random monic pieces of degree <= 3, so
+    # factors repeat; a rootless f has only pieces of degree 2 and 3 without
+    # a root, i.e. irreducible ones
+    ctx = data.draw(st.sampled_from(FACTOR_FIELDS))
+    rootless = data.draw(st.booleans())
+    f = Poly(ctx, [data.draw(st.integers(1, ctx.order - 1))])
+    for _ in range(data.draw(st.integers(1, 4))):
+        deg = data.draw(st.integers(2 if rootless else 1, 3))
+        g = Poly(ctx, [data.draw(st.integers(0, ctx.order - 1)) for _ in range(deg)] + [1])
+        if rootless and any(g.eval(x) == 0 for x in range(ctx.order)):
+            continue
+        for _ in range(data.draw(st.integers(1, 3))):
+            f = f * g
+    assert list(factors_roots_first(f)) == [g for g, _ in poly_factor(f)]
+
+
+def test_factors_roots_first_factors_only_past_the_linear_factors(monkeypatch):
+    # (x + 1)^2 x (x^2 + x + 1) over GF(2): the roots 0 and 1 come first
+    f = Poly(GF2, [1, 1]) * Poly(GF2, [1, 1]) * Poly(GF2, [0, 1]) * Poly(GF2, [1, 1, 1])
+    calls = []
+    real = fieldcore.poly_factor
+    monkeypatch.setattr(fieldcore, "poly_factor", lambda g: calls.append(g) or real(g))
+    lazy = factors_roots_first(f)
+    assert [next(lazy), next(lazy)] == [Poly(GF2, [0, 1]), Poly(GF2, [1, 1])]
+    assert calls == []
+    assert list(lazy) == [Poly(GF2, [1, 1, 1])]
+    assert calls == [f]

@@ -128,21 +128,21 @@ def test_group_order_guard_exit_1_one_line(tmp_path, capsys):
 
 # sha256 of the seed-0 JSON report; any change to the report bytes shows here
 PINNED_REPORTS = [
-    ("A4", 2, 2, "ff535214db34160f208ba8762fdade2b25fc0f555f223622952fa62434fe6a6a"),
-    ("A5", 2, 2, "8358dd0d65f33ec447a097a696631968589faae4f47fddb99d2c953a4dea696a"),
-    ("S3", 3, 1, "4c49dd25a7239d8ce1ee195b523220b150a1103552a564068014a48b714b0e89"),
-    ("A5", 5, 1, "c5001424ab6bcbd0dd60686ca5ab341cea7ff767d13e6e3223f78ab13f4ae53d"),
-    ("A5", 3, 2, "b7ebc8abce60a3cac064e8c249c45be94f34b74ad3abfa132dad397ee56b0f9b"),
-    ("S4", 3, 1, "08038cb5ac264b5ff861fe6b9a352b131a2bf74dffbd25f8606a39672d917c88"),
+    ("A4", 2, 2, "7cf1f1df498673bb008c1be6427bd948e1f4bafaf3bf17236cca7ae160ee7e27"),
+    ("A5", 2, 2, "ff4a7d7c78b1a2e5ea92400eb48f8f3d9e61ce6aaa33a90344dbf227f10bed33"),
+    ("S3", 3, 1, "c2d2a91a9c4aafe30c75623aa5789ec3dd61273bf9566222d741d83fbee1281f"),
+    ("A5", 5, 1, "95daff7bf36f5e938fe12e98d62dd7c25323f1528ff55188578d56283bfee21d"),
+    ("A5", 3, 2, "9ab49d152fe1559d96cbed0ce30b7fb0d09e2fbe8a8d2ab642577e07f1cd5b30"),
+    ("S4", 3, 1, "2f1ce1021937556af01051798cbfec626b44e31ef418a77d1f999ca78fec10ec"),
 ]
 
 
 # seed 1 drives a different chop than seed 0; a classification step that drew
 # from the chop's generator would change these bytes
 PINNED_REPORTS_SEED1 = [
-    ("A5", 2, 2, "0d0b33f066df535ea28558b5574221e43451b92d78602e5301761c7ee09fba88"),
-    ("A5", 3, 2, "608a0bd30829291fca9e38052aea7e5aa392d85833f4335f460d8a5a3356d8d2"),
-    ("S4", 3, 1, "84f1ad142cd250a258d4d93c03fee134433f13511b8d34b4d9d7fc934cb359b6"),
+    ("A5", 2, 2, "1c227733d821f2c2798f7de9450519a6bb16b6c0728b2f6b47c9d0467cc4f43c"),
+    ("A5", 3, 2, "82b373404bb468d0021e2f803e97875fb51672be5155ab775f283db0c67157e9"),
+    ("S4", 3, 1, "7882addac23bc197cb3c540d69ac2c73544a90af4438d87ddd6dd98121ca935f"),
 ]
 
 
