@@ -2,16 +2,19 @@
 
 A Module carries one invertible matrix per group generator; matrices for all
 other elements are products along the group's BFS words, cached on the
-module.  The regular module keeps no such cache: it reads an element matrix
-off the multiplication table when asked, and acts by an algebra element
-with one gather, so a fresh one costs its |G| x |G| generator matrices.  A
-left ideal of kG (a PIM) acts through the same table on its RREF basis and
-stores no element matrix either.  The constructor certifies that the
+module.  Three kinds of module act through kG's multiplication table
+instead and store no element matrix: the regular module, which reads an
+element matrix off the table when asked and acts by an algebra element with
+one gather, so a fresh one costs its |G| x |G| generator matrices; a
+quotient kG/W by a left ideal W (each piece the chop of kG pushes), one
+gather and one product on W's non-pivot coordinates; and a left ideal of
+kG (a PIM), the same on its RREF basis.  The constructor certifies that the
 generator matrices actually extend to an action of the whole
 multiplication table (full check at desk scale, sampled beyond it), except
-where the construction already proves it (the regular module, read off the
-table; left ideals, whose generator images are checked to stay inside;
-sub_quotient, duals, direct sums, restrictions and induced modules).
+where the construction already proves it (the regular module and its
+quotients, read off the table; left ideals, whose generator images are
+checked to stay inside; sub_quotient, duals, direct sums, restrictions and
+induced modules).
 
 Everything here is pure: modules are immutable once built, and the
 randomized steps (the Norton test and the chop built on it) take an
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -318,8 +321,54 @@ def _regular_mat(a: GroupAlgebra, h: int) -> np.ndarray:
     return m
 
 
-class _RegularModule(Module):
-    """kG on itself; an element matrix is read off the table, never stored."""
+class _IdealQuotientModule(Module):
+    """kG/W for a left ideal W, in the non-pivot coordinates C of W's RREF.
+
+    The coset of e_j (j in C) maps to x e_j + W, whose residual mod W is
+    zero on W's pivots: column j of rho(x) is that residual on C.  x e_j is
+    row j of R_x = x[_right_index] (see GroupAlgebra.conv), so rho(x) =
+    (R_x[C] mod W)[:, C]^T, one gather of |C| x |G| entries and one product,
+    the matrix sub_quotient builds on the regular module.  Like the regular
+    module it stores no element matrix.  Quotienting by a submodule S grows
+    W by S lifted to kG (sub_quotient), never building the generic quotient.
+    """
+
+    def __init__(
+        self,
+        a: GroupAlgebra,
+        ideal: Subspace,
+        label: Optional[str] = None,
+        gens: Optional[Sequence[Mat]] = None,
+    ):
+        self.ideal = ideal
+        keep = np.ones(a.dim, dtype=bool)
+        keep[ideal.pivots()] = False
+        self._cols = np.flatnonzero(keep)
+        if gens is None:
+            gens = [Mat(a.field, self._act(a, a.basis_elem(g).coeffs)) for g in a.group.generators]
+        super().__init__(a, gens, dim=self._cols.size, label=label, check="off")
+
+    def _act(self, a: GroupAlgebra, x: np.ndarray) -> np.ndarray:
+        red = self.ideal.reduce_rows(np.take(x, a._right_index[self._cols]))
+        return np.ascontiguousarray(red[:, self._cols].T)
+
+    def _mat_arr(self, i: int) -> np.ndarray:
+        return self._act(self.algebra, self.algebra.basis_elem(i).coeffs)
+
+    def action_of(self, elem: AlgebraElem) -> Mat:
+        if elem.algebra != self.algebra:
+            raise AlgebraMismatch("element of a different algebra")
+        return Mat(self.algebra.field, self._act(self.algebra, elem.coeffs))
+
+    def _quotient(self, s: Subspace) -> Module:
+        """kG/(W + S lifted): S sits on the coordinates C, and is zero on W's pivots."""
+        lift = np.zeros((s.dim, self.algebra.dim), dtype=self.algebra.field.dtype)
+        lift[:, self._cols] = s.basis.a
+        return _IdealQuotientModule(self.algebra, self.ideal.extend(lift)[0])
+
+
+class _RegularModule(_IdealQuotientModule):
+    """kG on itself (kG/0); an element matrix is read off the table, never stored."""
 
     def _mat_arr(self, i: int) -> np.ndarray:
         return _regular_mat(self.algebra, i)
@@ -341,7 +390,7 @@ def regular_module(a: GroupAlgebra) -> Module:
     that, so there is nothing to share between callers or threads.
     """
     gens = [Mat(a.field, _regular_mat(a, gi)) for gi in a.group.generators]
-    return _RegularModule(a, gens, dim=a.dim, label="regular", check="off")
+    return _RegularModule(a, Subspace.zero(a.field, a.dim), label="regular", gens=gens)
 
 
 class _LeftIdealModule(Module):
@@ -462,27 +511,31 @@ def sub_quotient(m: Module, s: Subspace) -> tuple[Module, Module]:
 
     The exact residual check proves s invariant, and the restriction and
     quotient of a valid action are valid actions, so neither result is
-    re-verified.
+    re-verified.  A quotient of kG by a left ideal stays one (see
+    _IdealQuotientModule).
     """
     k = m.algebra.field
     if s.ambient != m.dim:
         raise DimensionMismatch(f"subspace of k^{s.ambient} in a dim-{m.dim} module")
     piv = s.pivots()
-    nonpiv = np.ones(m.dim, dtype=bool)
-    nonpiv[piv] = False
     B = s.basis.a
     sub_gens = []
-    quot_gens = []
     for g in m.gen_action:
         img = _matmul_arr(k, B, g.a.T.copy())  # rows: rho(g) b_i
         resid = s.reduce_rows(img)
         if resid.any():
             raise NotInvariant("subspace is not invariant under the module action")
         sub_gens.append(Mat(k, img[:, piv].T.copy()))
+    sub = Module(m.algebra, sub_gens, dim=s.dim, check="off")
+    if isinstance(m, _IdealQuotientModule):
+        return sub, m._quotient(s)
+    nonpiv = np.ones(m.dim, dtype=bool)
+    nonpiv[piv] = False
+    quot_gens = []
+    for g in m.gen_action:
         cols = g.a[:, nonpiv].T.copy()  # rows: rho(g) e_j for complement coords j
         red = s.reduce_rows(cols)
         quot_gens.append(Mat(k, red[:, nonpiv].T.copy()))
-    sub = Module(m.algebra, sub_gens, dim=s.dim, check="off")
     quot = Module(m.algebra, quot_gens, dim=m.dim - s.dim, check="off")
     return sub, quot
 
@@ -543,21 +596,21 @@ class IrreducibilityVerdict:
 _THETA_ATTEMPTS = 120
 
 
-def _matrix_minpoly(k: FieldCtx, theta: np.ndarray):
-    """Minimal polynomial of a square matrix, by Krylov in matrix space.
+def _krylov_minpoly(
+    k: FieldCtx, start: np.ndarray, step: Callable[[np.ndarray], np.ndarray], maxdeg: int
+) -> Poly:
+    """Order polynomial of the vector start under the linear map step.
 
-    Rows [vec(theta^i) | e_i] are reduced incrementally; the first dependent
+    Rows [step^i(start) | e_i] are reduced incrementally; the first dependent
     power exposes its combination coefficients in the augmented tail.
     """
-    d = theta.shape[0]
-    width = d * d
-    maxdeg = d + 1
+    width = start.size
     reduced: list[np.ndarray] = []
     pivots: list[int] = []
-    power = np.eye(d, dtype=k.dtype)
+    vec = start
     for deg in range(maxdeg + 1):
         row = np.zeros(width + maxdeg + 1, dtype=k.dtype)
-        row[:width] = power.reshape(-1)
+        row[:width] = vec
         row[width + deg] = 1
         for r, p in zip(reduced, pivots):
             c = int(row[p])
@@ -565,7 +618,7 @@ def _matrix_minpoly(k: FieldCtx, theta: np.ndarray):
                 row = _sub_arr(k, row, k.MUL[c][r])
         lead = np.nonzero(row[:width])[0]
         if lead.size == 0:
-            # theta^deg = combination of lower powers; tail holds the relation
+            # step^deg(start) = combination of lower powers; tail holds the relation
             tail = row[width : width + deg + 1]
             return Poly(k, [int(c) for c in tail])
         p = int(lead[0])
@@ -573,8 +626,42 @@ def _matrix_minpoly(k: FieldCtx, theta: np.ndarray):
         row = k.MUL[inv][row]
         reduced.append(row)
         pivots.append(p)
-        power = _matmul_arr(k, power, theta)
-    raise ChopInstability("minimal polynomial search exceeded the matrix dimension")
+        vec = step(vec)
+    raise ChopInstability("minimal polynomial search exceeded its degree bound")
+
+
+def _matrix_minpoly(k: FieldCtx, theta: np.ndarray) -> Poly:
+    """Minimal polynomial of a square matrix: the order polynomial of the
+    identity under right multiplication by theta, a Krylov run of width d^2."""
+    d = theta.shape[0]
+    return _krylov_minpoly(
+        k,
+        np.eye(d, dtype=k.dtype).reshape(-1),
+        lambda v: _matmul_arr(k, v.reshape(d, d), theta).reshape(-1),
+        d + 1,
+    )
+
+
+def _element_minpoly(a: GroupAlgebra, x: np.ndarray) -> Poly:
+    """Minimal polynomial of x in kG: the order polynomial of 1 under b -> x b,
+    a Krylov run of width |G|.
+
+    x b = sum_g c_g (g b) with (g b)[y] = b[g^-1 y], so a step is one gather
+    of b per term of x, read off the table; x = 0 gives X.
+    """
+    k = a.field
+    g = a.group
+    support = np.flatnonzero(x)
+    moves = g.mult[g.inv[support]]  # row t: y -> g_t^-1 y
+    scales = [k.MUL[int(c)] for c in x[support]]
+
+    def step(b: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(b)
+        for scale, move in zip(scales, moves):
+            out = _add_arr(k, out, scale[b[move]])
+        return out
+
+    return _krylov_minpoly(k, a.one().coeffs, step, a.dim)
 
 
 def _poly_at_matrix(k: FieldCtx, coeffs, theta: np.ndarray) -> np.ndarray:
@@ -589,14 +676,17 @@ def _poly_at_matrix(k: FieldCtx, coeffs, theta: np.ndarray) -> np.ndarray:
 def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
     """Norton/MeatAxe irreducibility test with the Holt-Rees extension.
 
-    theta is the matrix of a random element of kG (through action_of, one
-    gather on the regular module).  Each irreducible factor f of its
-    minimal polynomial, the linear ones first and found as roots (see
-    factors_roots_first), gives a kernel ker f(theta).  Any proper spin
-    of a kernel vector is a reducibility witness.  When dim ker f(theta)
-    equals deg f, all kernel vectors share one spin, so a single full spin
-    plus a full spin of one dual kernel vector under the transposed action
-    certifies irreducibility (Norton's criterion).
+    theta is the matrix of a random element x of kG (through action_of, one
+    gather on kG and its quotients).  Each irreducible factor f of the
+    minimal polynomial of x in kG (when |G| < dim^2) or of theta, the
+    linear ones first and found as roots (see factors_roots_first), gives
+    a kernel ker f(theta).  mu_theta divides mu_x, and poly_factor's order
+    is a fixed order on factors, so the factors with ker f(theta) != 0
+    come in the same order either way and the verdict is the same.  Any
+    proper spin of a kernel vector is a reducibility witness.  When
+    dim ker f(theta) equals deg f, all kernel vectors share one spin, so a
+    single full spin plus a full spin of one dual kernel vector under the
+    transposed action certifies irreducibility (Norton's criterion).
     """
     if m.dim == 0:
         raise ZeroModule("zero module has no irreducibility verdict")
@@ -612,8 +702,14 @@ def is_irreducible(m: Module, seed: SeedLike = 0) -> IrreducibilityVerdict:
         terms = [  # (element, coefficient), drawn in that order
             (int(rng.integers(0, g.order)), int(rng.integers(1, k.order))) for _ in range(support)
         ]
-        theta = m.action_of(m.algebra.from_coeffs(terms)).a
-        minpoly = _matrix_minpoly(k, theta)
+        x = m.algebra.from_coeffs(terms)
+        theta = m.action_of(x).a
+        # mu_M(theta) divides mu_A(x), and a factor of mu_A alone has ker f(theta) = 0
+        # and is skipped below: take whichever Krylov run is narrower, |G| or d^2
+        if g.order < m.dim * m.dim:
+            minpoly = _element_minpoly(m.algebra, x.coeffs)
+        else:
+            minpoly = _matrix_minpoly(k, theta)
         if minpoly.degree < 1:
             continue
         for f in factors_roots_first(minpoly):

@@ -38,6 +38,13 @@ class Perm:
         self.images = images
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Perm":
+        """A Perm from an image tuple known to be a bijection, unchecked."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(tuple(range(degree)))
 
@@ -245,23 +252,23 @@ def group_generate(gens: Sequence[Perm], degree: Optional[int] = None) -> GroupT
     if len(degrees) != 1:
         raise DegreeMismatch(f"generators act on different degrees: {sorted(degrees)}")
     deg = degrees.pop()
-    ident = Perm.identity(deg)
-    elements = [ident]
-    seen = {ident.images}
-    frontier = [ident]
-    while frontier:
+    moves = np.array([g.images for g in gens], dtype=np.intp)
+    elements = [Perm.identity(deg)]
+    seen = {elements[0].images}
+    frontier = np.arange(deg, dtype=np.intp)[None, :]
+    while frontier.size:
+        # x * g maps i to x(g(i)): one gather of the frontier's image arrays by
+        # every generator's, rows sorted so that each level is in image order
+        level = frontier[:, moves].reshape(-1, deg)
         new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.images not in seen:
-                    seen.add(y.images)
-                    new.append(y)
-        new.sort(key=lambda p: p.images)
-        elements.extend(new)
+        for row in map(tuple, level[np.lexsort(level.T[::-1])].tolist()):
+            if row not in seen:
+                seen.add(row)
+                new.append(row)
+        elements.extend(map(Perm._trusted, new))  # products of bijections
         if len(elements) > GROUP_ORDER_GUARD:
             raise GroupTooLarge(f"group order exceeds guard {GROUP_ORDER_GUARD}")
-        frontier = new
+        frontier = np.array(new, dtype=np.intp).reshape(-1, deg)
     return GroupTable(elements, list(gens))
 
 

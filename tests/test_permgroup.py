@@ -143,6 +143,42 @@ def test_table_matches_perm_product_reference(spec):
     assert g.parents == parents
 
 
+def _perm_bfs(gens):
+    """The level-sorted BFS closure by Perm products (what group_generate gathers)."""
+    ident = Perm.identity(gens[0].degree)
+    elements, seen, frontier = [ident], {ident.images}, [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y.images not in seen:
+                    seen.add(y.images)
+                    new.append(y)
+        new.sort(key=lambda p: p.images)
+        elements.extend(new)
+        frontier = new
+    return elements
+
+
+@pytest.mark.parametrize(
+    "degree, gens",
+    [
+        (5, ["(1,2,3,4,5)", "(1,2)"]),
+        (6, ["(1,2,3)", "(2,3,4,5,6)"]),
+        (6, ["(1,2,3,4,5,6)", "(1,2)"]),
+        (7, ["(1,2,3,4,5,6,7)", "(1,2)(3,6)"]),
+        (7, ["(1,2,3)", "(3,4,5,6,7)"]),
+    ],
+    ids=["S5", "A6", "S6", "PSL27", "A7"],
+)
+def test_generate_by_gathers_matches_perm_bfs(degree, gens):
+    perms = [parse_cycles(t, degree) for t in gens]
+    g = group_generate(perms)
+    assert [p.images for p in g.elements] == [p.images for p in _perm_bfs(perms)]
+    assert all(type(i) is int for i in g.elements[-1].images)
+
+
 def test_table_rejects_element_lists_that_are_not_the_group():
     s3 = builtin("S3")
     transposition = parse_cycles("(1,2)", 3)

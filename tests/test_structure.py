@@ -708,3 +708,20 @@ def test_a6_over_gf4_golden():
     c = an.cartan.entries
     assert _int_det(c) == 8
     assert c == [list(row) for row in zip(*c)]
+
+
+def test_s6_over_gf2_golden():
+    # S6 = <(1,2,3,4,5,6), (1,2)>; Brauer degrees mod 2 are 1, 4, 4, 16 (Jansen,
+    # Lux, Parker, Wilson, An Atlas of Brauer Characters); det C is the product of
+    # the 2-parts of |C_G(x)| over the 2-regular classes 1, (123), (123)(456),
+    # (12345): 16 * 2 * 2 * 1 = 64
+    g = group_from_json({"degree": 6, "generators": ["(1,2,3,4,5,6)", "(1,2)"]})
+    an = analyze_algebra(g, GF2, seed=0)
+    assert an.report.all_passed
+    simples = [m.dim for m in an.simples.simples]
+    pims = [an.pims.pim_for_simple(i).dim for i in range(len(simples))]
+    assert simples == [1, 4, 4, 16]
+    assert sum(s * p for s, p in zip(simples, pims)) == 720
+    c = an.cartan.entries
+    assert _int_det(c) == 64
+    assert c == [list(row) for row in zip(*c)]
