@@ -3,14 +3,15 @@
 Stages, each consuming the certified output of the one before:
 simples (a chop of the regular module that stops once every class has
 appeared, classes told apart by Schur's lemma, count certified against the
-p-regular class count), Jacobson radical
+k-class count), Jacobson radical
 (kernel of the Wedderburn map phi: x -> (rho_S(x))_S, i.e. the annihilator
 of the simples), primitive orthogonal idempotents (split the identity in
 A/rad by one solve of phi(x) = E_jj, lift, re-orthogonalize), PIMs (one
 spun left ideal per simple, acting through kG's multiplication table),
 Cartan matrix (computed twice, by the ranks of the idempotents on the PIMs
 and by solving for the PIMs' Brauer characters in the simples', and
-compared entrywise).  Only find_simples draws random numbers.
+compared entrywise; its Brauer route also proves no simple is missing).
+Only find_simples draws random numbers.
 """
 
 from __future__ import annotations
@@ -74,34 +75,51 @@ class SimpleSet:
         raise IncompleteSimpleSet("no trivial module among the simples")
 
 
+def _k_class_count(a: GroupAlgebra) -> int:
+    """#simple kG-modules: orbits of g -> g^q, q = |k|, on the p-regular classes (Reiner)."""
+    g = a.group
+    classes, _ = conjugacy_data(g, a.field.char)
+    class_of = np.empty(g.order, dtype=np.intp)
+    for i, c in enumerate(classes):
+        class_of[list(c.members)] = i
+    elems = np.arange(g.order)
+    power = elems
+    for _ in range(a.field.order - 1):
+        power = g.mult[power, elems]  # power[x] = x^q at the end
+    seen: set[int] = set()
+    count = 0
+    for i, c in enumerate(classes):
+        if c.p_regular and i not in seen:
+            count += 1
+            while i not in seen:  # the orbit of c, a cycle of the power map
+                seen.add(i)
+                i = int(class_of[power[classes[i].rep]])
+    return count
+
+
 def find_simples(a: GroupAlgebra, seed: SeedLike = 0) -> SimpleSet:
     """Chop the regular module and keep one representative per iso class.
 
     Every simple module is a composition factor of kG (Jordan-Hoelder), and
-    there are at most l = #p-regular classes of them, with l exactly over a
-    splitting field (Brauer), so the chop stops once l classes have
-    appeared; the representatives are the first-found copies, as in the
-    full chop.  No certificate is lost: a class counted twice breaks the
-    Wedderburn identity in jacobson_radical and a missing one its
-    nilpotency check.  A non-splitting field never reaches l classes and
-    gets the full chop.  Over a splitting field fewer than l classes raise
-    ChopInstability.
+    there are as many as k-classes, so the chop stops once that many classes
+    have appeared; the representatives are the first-found copies, as in the
+    full chop.  Any other count raises ChopInstability.
     """
     _, p_reg = conjugacy_data(a.group, a.field.char)
-    found = chop(regular_module(a), seed, until_classes=p_reg).reps
+    n = _k_class_count(a)
+    found = chop(regular_module(a), seed, until_classes=n).reps
+    if len(found) != n:
+        raise ChopInstability(f"found {len(found)} simples but {n} k-classes")
     reps = [
         Module(a, r.gen_action, dim=r.dim, label=f"S{i + 1}", check="off")
         for i, r in enumerate(sorted(found, key=lambda r: r.dim))
     ]
     endo = [hom_dim(r, r) for r in reps]
-    splits = all(e == 1 for e in endo)
-    if splits and len(reps) != p_reg:
-        raise ChopInstability(f"found {len(reps)} simples but {p_reg} p-regular classes")
     return SimpleSet(
         simples=reps,
         endo_dims=endo,
         p_regular_classes=p_reg,
-        splitting_field_required=not splits,
+        splitting_field_required=any(e != 1 for e in endo),
     )
 
 
@@ -121,15 +139,17 @@ def _wedderburn_map(a: GroupAlgebra, s: SimpleSet) -> np.ndarray:
 def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> RightIdeal:
     """rad A as the joint annihilator {x : x.S = 0 for every simple S}.
 
-    Certified complete two ways: dim rad = |G| - sum (dim S)^2 / dim End(S)
-    (the Wedderburn count; catches duplicated or bogus entries) and
-    nilpotency of the annihilator (a missing simple leaves an idempotent in
-    it, so the power chain would never reach zero).  rad carries right-ideal
-    generators y_i, rad = sum_i y_i A, for that check and every radical and
+    Certified complete two ways: #simples = the k-class count of a (catches
+    a missing class) and dim rad = |G| - sum (dim S)^2 / dim End(S) (the
+    Wedderburn count; catches duplicated or bogus entries).  rad carries
+    right-ideal generators y_i, rad = sum_i y_i A, for every radical and
     socle chain: rad's RREF rows in order, each kept unless in the y_j A.
     """
     k = a.field
     n = a.dim
+    count = _k_class_count(a)
+    if len(s.simples) != count:
+        raise IncompleteSimpleSet(f"{len(s.simples)} simples but {count} k-classes")
     space = Subspace(k, n, Mat(k, _nullspace_arr(k, _wedderburn_map(a, s))))
     expected = n - sum(
         (m.dim * m.dim) // e for m, e in zip(s.simples, s.endo_dims)
@@ -147,14 +167,7 @@ def jacobson_radical(a: GroupAlgebra, s: SimpleSet) -> RightIdeal:
         if span.reduce_rows(y[None, :]).any():
             gens.append(y)
             span, _ = span.extend(np.take(y, a._right_index))
-    rad = RightIdeal(space, np.array(gens, dtype=k.dtype).reshape(-1, n))
-    try:
-        _ideal_nilpotency_index(a, rad)
-    except NoConvergence:
-        raise IncompleteSimpleSet(
-            "annihilator is not nilpotent; the simple set misses a class"
-        ) from None
-    return rad
+    return RightIdeal(space, np.array(gens, dtype=k.dtype).reshape(-1, n))
 
 
 def _ideal_nilpotency_index(a: GroupAlgebra, rad: Subspace) -> int:
@@ -317,7 +330,8 @@ def _brauer_multiplicities(a: GroupAlgebra, modules: Sequence[Module]) -> list[l
     irreducible factors of x^o(g) - 1, factored once per element order.
     p does not divide o(g), so rho_M(g) is semisimple and m_f(M, g) is the
     multiplicity of f in its characteristic polynomial; a nullity that
-    deg f does not divide proves rho_M is no action (NotInvariant).
+    deg f does not divide proves rho_M is no action (NotInvariant).  A last
+    column holds m_f(kG, g) = |G|/o(g): rho_kG(g) has |G|/o(g) o(g)-cycles.
     """
     k = a.field
     classes, _ = conjugacy_data(a.group, k.char)
@@ -339,7 +353,7 @@ def _brauer_multiplicities(a: GroupAlgebra, modules: Sequence[Module]) -> list[l
                         f"{m!r}: an element of order {o} prime to p is not semisimple"
                     )
                 row.append(nullity // f.degree)
-            rows.append(row)
+            rows.append(row + [a.dim // o])
     return rows
 
 
@@ -394,7 +408,10 @@ def cartan_both(
     over a splitting field the simples' Brauer characters are linearly
     independent, so C is the unique solution, certified a non-negative
     integer matrix.  Neither route uses the other's result, an idempotent
-    of the other or a random draw; the PIMs act through kG's table.
+    of the other or a random draw; the PIMs act through kG's table.  It
+    also checks sum_S dim S * m(P_S) = m(kG): the PIMs' Brauer characters
+    are independent and rho_kG = sum_U dim U * Phi_U over all simples U
+    (Serre, GTM 42, sec. 18): no simple is missing and no PIM is wrong.
     """
     if not s.splits:
         raise SplittingFieldRequired("Cartan invariants computed over splitting fields")
@@ -402,7 +419,11 @@ def cartan_both(
     reps = [pims.pim_for_simple(i) for i in range(n)]
     via_hom = [[reps[j].action_of(f).rank() for j in range(n)] for f in pims.heads]
     m = _brauer_multiplicities(a, [*s.simples, *reps])
-    via_brauer = _nonnegative_integer_solution([r[:n] for r in m], [r[n:] for r in m])
+    via_brauer = _nonnegative_integer_solution([r[:n] for r in m], [r[n:-1] for r in m])
+    if any(sum(x.dim * r[n + i] for i, x in enumerate(s.simples)) != r[-1] for r in m):
+        raise IncompleteSimpleSet(
+            "the PIMs do not decompose kG: sum dim S * m(P_S) != m(kG)"
+        )
     return via_hom, via_brauer
 
 

@@ -34,8 +34,10 @@ from modrep.modalg import (
 from modrep.permgroup import builtin, conjugacy_data, group_from_json, group_generate, parse_cycles
 from modrep.report import analyze_algebra
 from modrep.structure import (
+    PimSet,
     SimpleSet,
     _ideal_nilpotency_index,
+    _k_class_count,
     _orthogonal_idempotents,
     cartan_both,
     cartan_matrix,
@@ -160,6 +162,47 @@ def test_early_stop_is_a_prefix_of_the_full_chop_with_its_simples(name, field, s
     assert _same_modules(find_simples(a, seed).simples, reference)
 
 
+_NONSPLIT = [("A4", GF2, 2), ("C3", GF2, 2), ("C5", GF2, 2), ("C4", GF3, 3), ("A5", GF2, 3),
+             ("A5", GF3, 3)]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize(
+    "name, field, count", _NONSPLIT, ids=[f"{n}-GF{k.order}" for n, k, _ in _NONSPLIT]
+)
+def test_k_class_count_is_the_number_of_simples(name, field, count, seed):
+    a = GroupAlgebra(_group(name), field)
+    # reference: the iso classes of a full chop of kG
+    assert _k_class_count(a) == len(_iso_classes(chop(regular_module(a), seed))) == count
+
+
+@pytest.mark.parametrize(
+    "name, field", [("A5", GF4), ("S5", GF2), ("PSL27", GF7)], ids=["A5-GF4", "S5-GF2", "PSL27-GF7"]
+)
+def test_k_class_count_over_a_splitting_field_is_the_p_regular_count(name, field):
+    a = GroupAlgebra(_group(name), field)
+    assert _k_class_count(a) == conjugacy_data(a.group, field.char)[1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("field", [GF2, GF3], ids=["GF2", "GF3"])
+def test_find_simples_stops_early_on_a_non_splitting_field(monkeypatch, field, seed):
+    a = GroupAlgebra(builtin("A5"), field)
+    lengths = []
+
+    def counting_chop(m, seed=0, until_classes=None):
+        out = chop(m, seed, until_classes)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(structure, "chop", counting_chop)
+    s = find_simples(a, seed)
+    full = chop(regular_module(a), seed)
+    assert lengths[0] < len(full)
+    assert _same_modules(s.simples, [r for r, _ in _iso_classes(full)])
+    assert s.splitting_field_required
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize(
     "name, field", [("A5", GF4), ("A5", GF5), ("S5", GF2)], ids=["A5-GF4", "A5-GF5", "S5-GF2"]
@@ -167,7 +210,7 @@ def test_early_stop_is_a_prefix_of_the_full_chop_with_its_simples(name, field, s
 def test_schur_test_that_never_matches_yields_no_report(monkeypatch, name, field, seed):
     # every factor then opens a class, so the early stop keeps the first
     # p_reg factors as the simples.  Where they hold duplicates and miss
-    # classes, the Wedderburn identity, the nilpotency check or the Brauer
+    # classes, the Wedderburn identity, the k-class count or the Brauer
     # Cartan route must refuse the result.  For A5/GF(5) and S5/GF(2) at
     # seed 2 those factors are pairwise non-isomorphic, so the simple set is
     # right: the report must then be the unpatched one, byte for byte
@@ -227,6 +270,36 @@ def test_radical_incomplete_simples_rejected():
     )
     with pytest.raises(IncompleteSimpleSet):
         jacobson_radical(a, crippled)
+
+
+@pytest.mark.parametrize(
+    "name, field", [("A4", GF2), ("A5", GF2), ("C5", GF2)], ids=["A4-GF2", "A5-GF2", "C5-GF2"]
+)
+def test_radical_incomplete_non_splitting_simples_rejected(name, field):
+    # the annihilator of the rest passes the Wedderburn identity; the
+    # k-class count, taken from the algebra and not the set, refuses it
+    a = GroupAlgebra(builtin(name), field)
+    s = find_simples(a, 0)
+    assert s.splitting_field_required
+    crippled = SimpleSet(
+        simples=s.simples[:-1],
+        endo_dims=s.endo_dims[:-1],
+        p_regular_classes=s.p_regular_classes,
+        splitting_field_required=True,
+    )
+    with pytest.raises(IncompleteSimpleSet, match="k-classes"):
+        jacobson_radical(a, crippled)
+
+
+@pytest.mark.parametrize("name, field", [("A5", GF4), ("A4", GF2)], ids=["A5-GF4", "A4-GF2"])
+def test_pipeline_runs_no_nilpotency_chain(monkeypatch, name, field):
+    want = analyze_algebra(builtin(name), field, 0).report.to_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline reached the nilpotency chain")
+
+    monkeypatch.setattr(structure, "_ideal_nilpotency_index", refuse)
+    assert analyze_algebra(builtin(name), field, 0).report.to_json() == want
 
 
 def _brute_nilpotency_index(a, ideal):
@@ -533,6 +606,19 @@ def test_cartan_both_draws_nothing(monkeypatch):
         monkeypatch.setattr(mod, name, refuse)
     via_hom, via_brauer = cartan_both(a, s, pims)
     assert via_hom == via_brauer == [[4, 2, 2, 0], [2, 2, 1, 0], [2, 1, 2, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "name, field", [("A5", GF4), ("A4", GF4), ("S4", GF3)], ids=["A5-GF4", "A4-GF4", "S4-GF3"]
+)
+def test_regular_identity_refuses_pims_that_do_not_decompose_kg(name, field):
+    # with P1 in place of P2 both routes read the same wrong column 2, so
+    # they agree; only sum dim S * m(P_S) = m(kG) tells the PIMs are wrong
+    a, s, rad, pims = analyze(name, field)
+    p1 = pims.pims[0]
+    wrong = PimSet(pims.idempotents, pims.assignment, [p1, p1, *pims.pims[2:]])
+    with pytest.raises(IncompleteSimpleSet, match="do not decompose kG"):
+        cartan_both(a, s, wrong)
 
 
 @pytest.mark.parametrize("name, field", [("A5", GF4), ("S5", GF2), ("A5", GF9)])
