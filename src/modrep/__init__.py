@@ -25,7 +25,6 @@ from .modalg import (
     GroupAlgebra,
     Module,
     ModuleHom,
-    composition_factors,
     direct_sum,
     dual_module,
     hom_space,
@@ -86,7 +85,6 @@ __all__ = [
     "GroupAlgebra",
     "Module",
     "ModuleHom",
-    "composition_factors",
     "direct_sum",
     "dual_module",
     "hom_space",

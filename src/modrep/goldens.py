@@ -21,8 +21,9 @@ from .fieldcore import field_make
 from .linalg import Mat, Subspace, subspace_ops
 from .modalg import (
     GroupAlgebra,
+    _iso_classes,
+    chop,
     direct_sum,
-    factor_multiset,
     hom_dim,
     induce_module,
     modules_isomorphic,
@@ -638,20 +639,23 @@ def _maschke_properties(wb: Workbench) -> list[CheckResult]:
 
 def _seed_invariance_properties(wb: Workbench) -> list[CheckResult]:
     an = wb.a4()
+    simples = an.simples.simples
+    c = an.cartan.entries
+    # kG = sum_j P_j^(dim S_j), so [kG : S_i] = sum_j C[i][j] dim S_j
+    want = sorted(
+        (s.dim, sum(c[i][j] * t.dim for j, t in enumerate(simples)))
+        for i, s in enumerate(simples)
+    )
     reg = regular_module(an.algebra)
-    base = None
-    ok = True
-    for s in range(5):
-        counts = factor_multiset(reg, an.simples.simples, wb.seed * 31 + s)
-        if base is None:
-            base = counts
-        elif counts != base:
-            ok = False
+    ok = all(
+        sorted((r.dim, n) for r, n in _iso_classes(chop(reg, wb.seed * 31 + s))) == want
+        for s in range(5)
+    )
     return [
         CheckResult(
             "property.composition_factors_seed_invariant",
-            ok and sum(c * m.dim for c, m in zip(base, an.simples.simples)) == 12,
-            f"multiset {base} across 5 chop seeds",
+            ok and sum(d * n for d, n in want) == an.algebra.dim,
+            f"(dim, count) {want} by Cartan and by the chop at 5 seeds",
         )
     ]
 

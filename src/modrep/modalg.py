@@ -19,13 +19,18 @@ induced modules).
 Everything here is pure: modules are immutable once built, and the
 randomized steps (the Norton test and the chop built on it) take an
 explicit seed or Generator so parallel runs stay reproducible.  Simples are
-told apart by Schur's lemma, with no random draws.
+told apart by Schur's lemma, with no random draws.  Composition
+multiplicities have one route, factor_multiset, which reads them off Brauer
+characters and draws nothing; the chop serves only to find the simples.
+modules_isomorphic draws combinations of homs, but a draw can only prove
+True: False needs a certificate, and without one the test raises.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -34,6 +39,7 @@ from .errors import (
     AlgebraMismatch,
     ChopInstability,
     DimensionMismatch,
+    IncompleteSimpleSet,
     NoConvergence,
     NoQuotientRecorded,
     NotInvariant,
@@ -47,6 +53,7 @@ from .fieldcore import (
     factors_roots_first,
     field_from_json,
     field_to_json,
+    poly_factor,
 )
 from .linalg import (
     Mat,
@@ -59,7 +66,7 @@ from .linalg import (
     _rref_arr,
     _sub_arr,
 )
-from .permgroup import GroupTable, QuotientMap, Subgroup, cosets_and_quotient
+from .permgroup import GroupTable, QuotientMap, Subgroup, conjugacy_data, cosets_and_quotient
 
 FULL_CHECK_LIMIT = 4000  # dim * |G| at or below this gets the full action check
 SeedLike = Union[int, np.random.Generator]
@@ -782,13 +789,16 @@ def chop(m: Module, seed: SeedLike = 0, until_classes: Optional[int] = None) -> 
 
 
 def modules_isomorphic(v: Module, w: Module, seed: SeedLike = 0) -> bool:
-    """Iso test: equal dims plus an invertible element of Hom(v, w).
+    """Iso test: True only with an invertible hom, False only with a certificate.
 
-    Tries each hom basis element first.  If none is invertible, False is
-    exact when v or w is indecomposable (its End is local, so the
-    non-invertible maps form a proper subspace, which holds no basis) and
-    when dim Hom <= 1 (every hom is a multiple of one map).  The 8 random
-    combinations that follow serve decomposable pairs only.
+    Tries each hom basis element first (one is invertible when v ~ w is
+    indecomposable: its End is local, so the non-invertible maps form a
+    proper subspace), then 8 random combinations; an invertible one proves
+    True, so the draws never decide False.  False is certified by unequal
+    dims, by dim Hom <= 1 (every hom is a multiple of one map; nothing is
+    drawn) or, once the draws fail, by dim End(v) or dim End(w) differing
+    from dim Hom(v, w), as isomorphic modules give equality.  Otherwise
+    NoConvergence: isomorphism undecided.
     """
     if v.algebra != w.algebra:
         raise AlgebraMismatch("modules over different algebras")
@@ -813,7 +823,11 @@ def modules_isomorphic(v: Module, w: Module, seed: SeedLike = 0) -> bool:
                 combo = _add_arr(k, combo, k.MUL[c][h.mat.a])
         if Mat(k, combo).rank() == d:
             return True
-    return False
+    if hom_dim(v, v) != len(homs) or hom_dim(w, w) != len(homs):
+        return False
+    raise NoConvergence(
+        f"isomorphism undecided: dim End = dim Hom = {len(homs)}, no invertible hom drawn"
+    )
 
 
 def _simples_isomorphic(s: Module, t: Module) -> bool:
@@ -842,26 +856,98 @@ def _iso_classes(factors: Sequence[Module]) -> list[tuple[Module, int]]:
     return sorted(zip(reps, counts), key=lambda c: c[0].dim)
 
 
-def composition_factors(m: Module, seed: SeedLike = 0) -> list[tuple[Module, int]]:
-    """Composition factor multiset as (representative simple, multiplicity).
+# ------------------------------------------------- composition factors --
 
-    Jordan-Hoelder makes the multiset independent of the chop seed; the
-    representatives are the first-found copies, ordered by (dim, discovery).
+
+def _brauer_multiplicities(a: GroupAlgebra, modules: Sequence[Module]) -> list[list[int]]:
+    """m_f(M, g) = dim ker f(rho_M(g)) / deg f: one row per pair (g, f), one column per M.
+
+    g runs over the p-regular class representatives and f over the monic
+    irreducible factors of x^o(g) - 1, factored once per element order.
+    p does not divide o(g), so rho_M(g) is semisimple and m_f(M, g) is the
+    multiplicity of f in its characteristic polynomial; a nullity that
+    deg f does not divide proves rho_M is no action (NotInvariant).  A last
+    column holds m_f(kG, g) = |G|/o(g): rho_kG(g) has |G|/o(g) o(g)-cycles.
     """
-    return _iso_classes(chop(m, seed))
+    k = a.field
+    classes, _ = conjugacy_data(a.group, k.char)
+    factors: dict[int, list[Poly]] = {}
+    rows = []
+    for c in classes:
+        if not c.p_regular:
+            continue
+        o = a.group.element_order(c.rep)
+        if o not in factors:
+            factors[o] = [f for f, _ in poly_factor(Poly(k, [k.neg(1)] + [0] * (o - 1) + [1]))]
+        mats = [m.element_mat(c.rep).a for m in modules]
+        for f in factors[o]:
+            row = []
+            for m, theta in zip(modules, mats):
+                nullity = m.dim - _rref_arr(k, _poly_at_matrix(k, f.coeffs, theta))[1]
+                if nullity % f.degree:
+                    raise NotInvariant(
+                        f"{m!r}: an element of order {o} prime to p is not semisimple"
+                    )
+                row.append(nullity // f.degree)
+            rows.append(row + [a.dim // o])
+    return rows
 
 
-def factor_multiset(m: Module, simples: Sequence[Module], seed: SeedLike = 0) -> list[int]:
-    """Multiplicity of each given simple among the composition factors of m."""
-    counts = [0] * len(simples)
-    for f in chop(m, seed):
-        for i, s in enumerate(simples):
-            if _simples_isomorphic(f, s):
-                counts[i] += 1
-                break
-        else:
-            raise ChopInstability("composition factor matches none of the given simples")
-    return counts
+def _nonnegative_integer_solution(v: list[list[int]], e: list[list[int]]) -> list[list[int]]:
+    """The unique C with V C = E over Q, certified to be a non-negative integer matrix.
+
+    Gauss-Jordan on [V | E] over the integers: a row update r <- p r - r_c
+    pivot_row keeps every entry integral, and dividing the row by the gcd of
+    its entries keeps them small.  C[i][j] is then E-entry / pivot of row i.
+    A dependent column of V (a simple listed twice), an inconsistent system
+    (a simple missing) or a C that is not a non-negative integer matrix (a
+    simple missing, or a module listed as simple that is not) raise
+    IncompleteSimpleSet.
+    """
+    n = len(v[0])
+    rows = [vr + er for vr, er in zip(v, e)]
+    for c in range(n):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            raise IncompleteSimpleSet(
+                "the simples' Brauer characters are linearly dependent; a simple is listed twice"
+            )
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for r, row in enumerate(rows):
+            if r != c and row[c]:
+                row = [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row] if g else row
+    if any(x for row in rows[n:] for x in row[n:]):
+        raise IncompleteSimpleSet(
+            "a module's Brauer character is no combination of the simples'; a simple is missing"
+        )
+    out = [[divmod(x, row[c]) for x in row[n:]] for c, row in enumerate(rows[:n])]
+    if any(rem or quo < 0 for qs in out for quo, rem in qs):
+        raise IncompleteSimpleSet(
+            "Brauer multiplicities are not non-negative integers;"
+            " a simple is missing or not simple"
+        )
+    return [[quo for quo, _ in qs] for qs in out]
+
+
+def factor_multiset(m: Module, simples: Sequence[Module]) -> list[int]:
+    """[m : S] for each given simple S, read off Brauer characters; nothing is drawn.
+
+    Characteristic polynomials multiply along a composition series, so
+    m(M) = sum_S [M : S] m(S) for the vectors m of _brauer_multiplicities,
+    and pairwise non-isomorphic simples have linearly independent ones over
+    any field, so the multiplicities are the unique solution, certified
+    non-negative integers.  simples must hold every composition factor of m
+    (else IncompleteSimpleSet).
+    """
+    if any(s.algebra != m.algebra for s in simples):
+        raise AlgebraMismatch("simples over a different algebra")
+    n = len(simples)
+    rows = _brauer_multiplicities(m.algebra, [*simples, m])
+    solution = _nonnegative_integer_solution([r[:n] for r in rows], [[r[n]] for r in rows])
+    return [c for c, in solution]
 
 
 # ---------------------------------------------------------- Loewy series --

@@ -9,15 +9,15 @@ of the simples), primitive orthogonal idempotents (split the identity in
 A/rad by one solve of phi(x) = E_jj, lift, re-orthogonalize), PIMs (one
 spun left ideal per simple, acting through kG's multiplication table),
 Cartan matrix (computed twice, by the ranks of the idempotents on the PIMs
-and by solving for the PIMs' Brauer characters in the simples', and
-compared entrywise; its Brauer route also proves no simple is missing).
-Only find_simples draws random numbers.
+and by solving for the PIMs' Brauer characters in the simples' with
+modalg's composition-factor solve, and compared entrywise; its Brauer
+route also proves no simple is missing).
+Only find_simples draws random numbers: its chop is the only one left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,11 +28,9 @@ from .errors import (
     MethodDisagreement,
     NoConvergence,
     NotIdempotentModRad,
-    NotInvariant,
     SplittingFieldRequired,
 )
-from .fieldcore import Poly, poly_factor
-from .linalg import Mat, Subspace, _matmul_arr, _nullspace_arr, _rref_arr, solve
+from .linalg import Mat, Subspace, _matmul_arr, _nullspace_arr, solve
 from .modalg import (
     AlgebraElem,
     GroupAlgebra,
@@ -40,9 +38,10 @@ from .modalg import (
     Module,
     RightIdeal,
     SeedLike,
+    _brauer_multiplicities,
     _descending_chain,
     _LeftIdealModule,
-    _poly_at_matrix,
+    _nonnegative_integer_solution,
     _rad_generators,
     _simples_isomorphic,
     chop,
@@ -321,79 +320,6 @@ class CartanMatrix:
         return all(
             self.entries[i][j] == self.entries[j][i] for i in range(n) for j in range(n)
         )
-
-
-def _brauer_multiplicities(a: GroupAlgebra, modules: Sequence[Module]) -> list[list[int]]:
-    """m_f(M, g) = dim ker f(rho_M(g)) / deg f: one row per pair (g, f), one column per M.
-
-    g runs over the p-regular class representatives and f over the monic
-    irreducible factors of x^o(g) - 1, factored once per element order.
-    p does not divide o(g), so rho_M(g) is semisimple and m_f(M, g) is the
-    multiplicity of f in its characteristic polynomial; a nullity that
-    deg f does not divide proves rho_M is no action (NotInvariant).  A last
-    column holds m_f(kG, g) = |G|/o(g): rho_kG(g) has |G|/o(g) o(g)-cycles.
-    """
-    k = a.field
-    classes, _ = conjugacy_data(a.group, k.char)
-    factors: dict[int, list[Poly]] = {}
-    rows = []
-    for c in classes:
-        if not c.p_regular:
-            continue
-        o = a.group.element_order(c.rep)
-        if o not in factors:
-            factors[o] = [f for f, _ in poly_factor(Poly(k, [k.neg(1)] + [0] * (o - 1) + [1]))]
-        mats = [m.element_mat(c.rep).a for m in modules]
-        for f in factors[o]:
-            row = []
-            for m, theta in zip(modules, mats):
-                nullity = m.dim - _rref_arr(k, _poly_at_matrix(k, f.coeffs, theta))[1]
-                if nullity % f.degree:
-                    raise NotInvariant(
-                        f"{m!r}: an element of order {o} prime to p is not semisimple"
-                    )
-                row.append(nullity // f.degree)
-            rows.append(row + [a.dim // o])
-    return rows
-
-
-def _nonnegative_integer_solution(v: list[list[int]], e: list[list[int]]) -> list[list[int]]:
-    """The unique C with V C = E over Q, certified to be a non-negative integer matrix.
-
-    Gauss-Jordan on [V | E] over the integers: a row update r <- p r - r_c
-    pivot_row keeps every entry integral, and dividing the row by the gcd of
-    its entries keeps them small.  C[i][j] is then E-entry / pivot of row i.
-    A dependent column of V (a simple listed twice), an inconsistent system
-    (a simple missing) or a C that is not a non-negative integer matrix (a
-    simple missing, or a module listed as simple that is not) raise
-    IncompleteSimpleSet.
-    """
-    n = len(v[0])
-    rows = [vr + er for vr, er in zip(v, e)]
-    for c in range(n):
-        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
-        if p is None:
-            raise IncompleteSimpleSet(
-                "the simples' Brauer characters are linearly dependent; a simple is listed twice"
-            )
-        rows[c], rows[p] = rows[p], rows[c]
-        pivot = rows[c]
-        for r, row in enumerate(rows):
-            if r != c and row[c]:
-                row = [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)]
-                g = gcd(*row)
-                rows[r] = [x // g for x in row] if g else row
-    if any(x for row in rows[n:] for x in row[n:]):
-        raise IncompleteSimpleSet(
-            "a PIM's Brauer character is no combination of the simples'; a simple is missing"
-        )
-    out = [[divmod(x, row[c]) for x in row[n:]] for c, row in enumerate(rows[:n])]
-    if any(rem or quo < 0 for qs in out for quo, rem in qs):
-        raise IncompleteSimpleSet(
-            "Brauer multiplicities are not non-negative integers;"
-            " a simple is missing or not simple"
-        )
-    return [[quo for quo, _ in qs] for qs in out]
 
 
 def cartan_both(

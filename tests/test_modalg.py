@@ -6,6 +6,7 @@ import pytest
 from modrep.errors import (
     AlgebraMismatch,
     DimensionMismatch,
+    NoConvergence,
     NotInvariant,
     NoQuotientRecorded,
     ZeroModule,
@@ -16,8 +17,8 @@ from modrep.modalg import (
     FULL_CHECK_LIMIT,
     GroupAlgebra,
     Module,
+    _iso_classes,
     chop,
-    composition_factors,
     direct_sum,
     dual_module,
     factor_multiset,
@@ -359,7 +360,7 @@ def test_is_irreducible_zero_module():
 def test_chop_regular_klein():
     v4 = builtin("V4")
     alg = GroupAlgebra(v4, GF2)
-    facs = composition_factors(regular_module(alg), 1)
+    facs = _iso_classes(chop(regular_module(alg), 1))
     assert len(facs) == 1
     rep, mult = facs[0]
     assert rep.dim == 1 and mult == 4
@@ -368,7 +369,7 @@ def test_chop_regular_klein():
 
 def test_composition_factors_of_simple():
     s2 = a5_s2_module()
-    facs = composition_factors(s2, 5)
+    facs = _iso_classes(chop(s2, 5))
     assert len(facs) == 1 and facs[0][1] == 1
     assert modules_isomorphic(facs[0][0], s2, 0)
 
@@ -378,12 +379,12 @@ def test_composition_factors_seed_invariant():
     reg = regular_module(KA4)
     base = None
     for seed in range(5):
-        counts = sorted(c for _, c in composition_factors(reg, seed))
+        counts = sorted(c for _, c in _iso_classes(chop(reg, seed)))
         if base is None:
             base = counts
         assert counts == base
     assert sum(base) == 12
-    facs = composition_factors(m, 0)
+    facs = _iso_classes(chop(m, 0))
     assert sorted(c for _, c in facs) == [1, 1]
 
 
@@ -392,12 +393,37 @@ def test_direct_sum():
     t3 = Module(KA4, [Mat.from_rows(GF4, [[W2]]), Mat.from_rows(GF4, [[1]])], dim=1, label="T3")
     s = direct_sum([t2, t3])
     assert s.dim == 2
-    counts = factor_multiset(s, [t2, t3], 0)
+    counts = factor_multiset(s, [t2, t3])
     assert counts == [1, 1]
     v = direct_sum([t2])
     assert modules_isomorphic(v, t2, 0)
     with pytest.raises(AlgebraMismatch):
         direct_sum([t2, trivial_module(KA5)])
+    with pytest.raises(AlgebraMismatch):
+        factor_multiset(s, [t2, trivial_module(KA5)])
+
+
+def test_modules_isomorphic_returns_no_uncertified_false():
+    # T + T over S3/GF(2): Hom = End = M_2(GF(2)), no basis map is invertible,
+    # and at seed 27 all 8 drawn combinations are singular
+    alg = GroupAlgebra(builtin("S3"), GF2)
+    tt = direct_sum([trivial_module(alg)] * 2)
+    with pytest.raises(NoConvergence, match="undecided"):
+        modules_isomorphic(tt, tt, 27)
+    for seed in range(200):
+        try:
+            assert modules_isomorphic(tt, tt, seed)
+        except NoConvergence:
+            pass
+
+
+def test_modules_isomorphic_certifies_false_by_end_and_hom_dims():
+    t1 = trivial_module(KA4)
+    t2 = Module(KA4, [Mat.from_rows(GF4, [[W]]), Mat.from_rows(GF4, [[1]])], dim=1, label="T2")
+    v, w = direct_sum([t1, t1, t2]), direct_sum([t1, t2, t2])
+    assert hom_dim(v, v) == 5 and hom_dim(v, w) == 4
+    for seed in range(10):
+        assert modules_isomorphic(v, w, seed) is False
 
 
 def test_restrict_twodim_simple_to_a4_is_uniserial():
@@ -538,7 +564,7 @@ def test_maschke_small():
     alg = GroupAlgebra(c3, GF4)
     reg = regular_module(alg)
     # all of kC3 over GF(4) chops into 3 one-dim simples
-    facs = composition_factors(reg, 0)
+    facs = _iso_classes(chop(reg, 0))
     assert [f.dim for f, _ in facs] == [1, 1, 1]
     assert all(mult == 1 for _, mult in facs)
 

@@ -19,6 +19,7 @@ from modrep.modalg import (
     _iso_classes,
     _LeftIdealModule,
     _rad_generators,
+    _simples_isomorphic,
     chop,
     direct_sum,
     dual_module,
@@ -554,6 +555,16 @@ _BRAUER_ALGEBRAS = [
 ]
 
 
+def _chop_counts(m, simples, seed):
+    """[m : S] for each simple S by a MeatAxe chop, each factor matched by Schur's lemma."""
+    counts = [0] * len(simples)
+    for f in chop(m, seed):
+        hits = [i for i, t in enumerate(simples) if _simples_isomorphic(f, t)]
+        assert len(hits) == 1
+        counts[hits[0]] += 1
+    return counts
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize(
     "name, field", _BRAUER_ALGEBRAS, ids=[f"{n}-GF{k.order}" for n, k in _BRAUER_ALGEBRAS]
@@ -564,10 +575,48 @@ def test_brauer_route_equals_the_chop_of_each_pim(name, field, seed):
     # reference: the composition factors of each PIM, by a MeatAxe chop
     via_chop = [[0] * n for _ in range(n)]
     for j in range(n):
-        for i, c in enumerate(factor_multiset(pims.pim_for_simple(j), s.simples, seed)):
+        for i, c in enumerate(_chop_counts(pims.pim_for_simple(j), s.simples, seed)):
             via_chop[i][j] = c
     via_hom, via_brauer = cartan_both(a, s, pims)
     assert via_brauer == via_chop == via_hom
+
+
+_NON_SPLITTING = [("A4", GF2), ("A5", GF2), ("A5", GF3), ("C5", GF2)]
+
+
+@pytest.mark.parametrize(
+    "name, field", _NON_SPLITTING, ids=[f"{n}-GF{k.order}" for n, k in _NON_SPLITTING]
+)
+def test_factor_multiset_equals_the_chop_over_non_splitting_fields(name, field):
+    a = GroupAlgebra(_group(name), field)
+    s = find_simples(a, 0)
+    assert not s.splits
+    for m in [regular_module(a), *s.simples]:
+        assert factor_multiset(m, s.simples) == _chop_counts(m, s.simples, 1)
+
+
+def test_factor_multiset_draws_nothing(monkeypatch):
+    a = GroupAlgebra(_group("A5"), GF2)
+    s = find_simples(a, 0)
+    reg = regular_module(a)
+    reference = _chop_counts(reg, s.simples, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor_multiset reached a randomized step")
+
+    for name in ["is_irreducible", "chop", "_rng"]:
+        monkeypatch.setattr(modalg, name, refuse)
+    assert factor_multiset(reg, s.simples) == reference
+    assert sum(c * t.dim for c, t in zip(reference, s.simples)) == a.dim
+
+
+def test_factor_multiset_refuses_a_wrong_simple_set():
+    a, s, rad, pims = analyze("A5", GF4)
+    reg = regular_module(a)
+    with pytest.raises(IncompleteSimpleSet, match="missing"):
+        factor_multiset(reg, s.simples[1:])
+    with pytest.raises(IncompleteSimpleSet, match="listed twice"):
+        factor_multiset(reg, [s.simples[0], *s.simples])
 
 
 def _with_simples(s, simples):
