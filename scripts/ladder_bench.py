@@ -4,7 +4,7 @@ Runs the ladder A4/GF(4); A5 over GF(2), GF(3), GF(4), GF(5), GF(9);
 S4/GF(3); S5 over GF(2), GF(3); PSL(2,7) over GF(2), GF(7), then A6/GF(4)
 and S6/GF(2), all at seed 0.  Each run is its own interpreter, so imports,
 caches and the peak RSS start afresh.  The group table is built and timed
-before analyze_algebra, outside its wall.  A rung runs three times; the
+before analyze_algebra, outside its wall.  A rung runs five times; the
 record keeps the median wall with that run's stage split (the report's
 `timings`), the largest peak RSS and the report's sha256, so two
 checkouts give a before/after pair:
@@ -42,11 +42,11 @@ RUNGS = [  # (name, degree, generators, char, field degree)
     ("A6/GF(4)", 6, ["(1,2,3)", "(2,3,4,5,6)"], 2, 2),
     ("S6/GF(2)", 6, ["(1,2,3,4,5,6)", "(1,2)"], 2, 1),
 ]
-REPEATS = 3
+REPEATS = 5
 
 # one rung in a fresh interpreter: argv = [src, json [degree, generators, char, field degree]]
 WORKER = """
-import hashlib, json, resource, sys, time
+import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from modrep import field_make
 from modrep.permgroup import group_from_json
@@ -59,10 +59,12 @@ field = field_make(p, k)
 t0 = time.perf_counter()
 an = analyze_algebra(group, field, 0)
 wall_s = time.perf_counter() - t0
+peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+import hashlib  # after the RSS read: its OpenSSL load is this tool's, not modrep's
 print(json.dumps({
     "table_s": table_s,
     "wall_s": wall_s,
-    "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mib": peak_rss_mib,
     "timings": an.report.timings,
     "all_passed": an.report.all_passed,
     "report_sha256": hashlib.sha256(an.report.to_json().encode()).hexdigest(),
@@ -118,7 +120,7 @@ def main(argv=None) -> int:
     data.setdefault(
         "description",
         "analyze_algebra at seed 0 on each ladder rung, A6/GF(4) and S6/GF(2), each run in a "
-        "fresh process, three runs per rung: median wall seconds (all three in wall_s_runs) "
+        "fresh process, five runs per rung: median wall seconds (all five in wall_s_runs) "
         "with that run's stage split, median group-table seconds (outside the wall), largest "
         "peak RSS and the report's sha256; written by scripts/ladder_bench.py.",
     )

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from .errors import ModrepError
 from .fieldcore import field_make
-from .goldens import run_paper_suite, run_property_suite
 from .permgroup import builtin, group_from_json
 from .report import analyze_algebra
 
@@ -98,6 +97,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # imported here so that `modrep analyze` never loads the suites
+    from .goldens import run_paper_suite, run_property_suite
+
     if args.suite == "paper":
         results = run_paper_suite(args.seed)
     else:

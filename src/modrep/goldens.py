@@ -21,6 +21,7 @@ from .fieldcore import field_make
 from .linalg import Mat, Subspace, subspace_ops
 from .modalg import (
     GroupAlgebra,
+    Pcg64Ints,
     _iso_classes,
     chop,
     direct_sum,
@@ -661,7 +662,7 @@ def _seed_invariance_properties(wb: Workbench) -> list[CheckResult]:
 
 
 def _oracle_properties(wb: Workbench) -> list[CheckResult]:
-    rng = np.random.default_rng(wb.seed + 99)
+    rng = Pcg64Ints(wb.seed + 99)
     out = []
 
     # hom dimensions vs exhaustive enumeration, GF(2), dims <= 3
@@ -719,9 +720,14 @@ def _oracle_properties(wb: Workbench) -> list[CheckResult]:
     ok = True
     for trial in range(500):
         fld = fields[trial % len(fields)]
-        n = int(rng.integers(1, 8))
-        u = Subspace.from_vectors(fld, n, rng.integers(0, fld.order, size=(3, n)))
-        v = Subspace.from_vectors(fld, n, rng.integers(0, fld.order, size=(3, n)))
+        n = rng.integers(1, 8)
+        # each subspace spanned by 3 drawn rows of n entries, drawn row by row
+        u, v = (
+            Subspace.from_vectors(
+                fld, n, [[rng.integers(0, fld.order) for _ in range(n)] for _ in range(3)]
+            )
+            for _ in range(2)
+        )
         total, meet = subspace_ops(u, v)
         if total.dim + meet.dim != u.dim + v.dim:
             ok = False

@@ -18,7 +18,10 @@ induced modules).
 
 Everything here is pure: modules are immutable once built, and the
 randomized steps (the Norton test and the chop built on it) take an
-explicit seed or Generator so parallel runs stay reproducible.  Simples are
+explicit seed or stream so parallel runs stay reproducible.  An int seed
+starts modrep's own stream, Pcg64Ints: PCG64 seeded through SeedSequence,
+the same draws as numpy's default_rng(seed).integers, owned here so that a
+change to numpy's Generator methods cannot move a report.  Simples are
 told apart by Schur's lemma, with no random draws.  Composition
 multiplicities have one route, factor_multiset, which reads them off Brauer
 characters and draws nothing; the chop serves only to find the simples.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -69,13 +72,109 @@ from .linalg import (
 from .permgroup import GroupTable, QuotientMap, Subgroup, conjugacy_data, cosets_and_quotient
 
 FULL_CHECK_LIMIT = 4000  # dim * |G| at or below this gets the full action check
-SeedLike = Union[int, np.random.Generator]
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def _seed_words(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64): the seed's
+    uint32 words hashed into a pool of 4, the pool hashed out again."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _M32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _M32)
+    words += [0] * (4 - len(words))
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hash_b = 0x8B51F9DD
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class Pcg64Ints:
+    """Bounded integers from PCG64 seeded through SeedSequence: draw for
+    draw what numpy.random.default_rng(seed).integers(lo, hi) gives, for a
+    non-negative int seed and 1 <= hi - lo <= 2^32 - 1.
+
+    PCG64 is the 128-bit LCG with the XSL-RR output (O'Neill 2014); a
+    32-bit draw is the low half of a fresh 64-bit output, the next one its
+    saved high half; integers() is Lemire's bounded draw on those (ACM
+    TOMACS 29(1), 2019), and a range of one value draws nothing.
+    """
+
+    __slots__ = ("_state", "_inc", "_high")
+
+    def __init__(self, seed: int):
+        w = _seed_words(seed)
+        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _M128
+        self._high: Optional[int] = None
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            out, self._high = self._high, None
+            return out
+        s = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        out = (x >> r | x << (64 - r)) & _M64
+        self._high = out >> 32
+        return out & _M32
+
+    def integers(self, lo: int, hi: int) -> int:
+        """One draw, uniform on [lo, hi)."""
+        n = hi - lo
+        if not 1 <= n <= _M32:
+            raise ValueError(f"range [{lo}, {hi}) must hold 1 to 2^32 - 1 values")
+        if n == 1:
+            return lo
+        threshold = ((1 << 32) - n) % n  # 2^32 mod n: the low words to reject
+        m = self._next32() * n
+        while m & _M32 < threshold:
+            m = self._next32() * n
+        return lo + (m >> 32)
+
+
+class _Draws(Protocol):
+    def integers(self, lo: int, hi: int) -> int: ...
+
+
+# an int seed, which starts a Pcg64Ints (PCG64 via SeedSequence, the draws
+# of numpy's default_rng for that seed), or a stream with integers(lo, hi)
+# such as a numpy Generator; modrep owns the stream so that a change to
+# numpy's Generator methods cannot move a report
+SeedLike = Union[int, _Draws]
+
+
+def _rng(seed: SeedLike) -> _Draws:
+    return seed if hasattr(seed, "integers") else Pcg64Ints(int(seed))
 
 
 class GroupAlgebra:
@@ -306,9 +405,9 @@ class Module:
             for m in self.gen_action:
                 if m.rank() != self.dim:
                     raise NotInvariant("generator action is singular")
-            rng = np.random.default_rng(self.dim * 1009 + g.order)
+            rng = Pcg64Ints(self.dim * 1009 + g.order)
             for _ in range(20):
-                a, b = (int(x) for x in rng.integers(0, g.order, size=2))
+                a, b = rng.integers(0, g.order), rng.integers(0, g.order)
                 lhs = _matmul_arr(k, self._mat_arr(a), self._mat_arr(b))
                 if not np.array_equal(lhs, self._mat_arr(g.mul(a, b))):
                     raise NotInvariant("sampled product check failed")

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from modrep import cli
+from modrep import cli, goldens
 from modrep.fieldcore import field_make
 from modrep.goldens import CheckResult, Workbench, check_ka4
 from modrep.permgroup import builtin
@@ -201,7 +201,7 @@ def test_mutated_cartan_fails_named_check():
 
 def test_cli_check_failure_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli, "run_paper_suite", lambda seed: [CheckResult("ka4.cartan", False, "mutated")]
+        goldens, "run_paper_suite", lambda seed: [CheckResult("ka4.cartan", False, "mutated")]
     )
     assert run_cli(["check", "--suite", "paper"]) == 2
     out = capsys.readouterr().out
